@@ -84,9 +84,8 @@ def _reduce_mid(kind: str, env: ParamEnv, d: int, mid: int):
     turn; upTL1/upTL2 [0, d) with gamma-hat per turn (parity is preserved
     because d is even there).
     """
-    one = Fraction(1) if env.backend == EXACT else complex(1)
     if kind in ("aTL", "pTL", "TL") or d == 0:
-        return one, mid
+        return env.one, mid
     if kind in ("uaTL", "uaTL1", "uaTL2", "upTL1", "upTL2"):
         window = d
         per_wrap = gamma_hat(kind, env)
@@ -96,7 +95,7 @@ def _reduce_mid(kind: str, env: ParamEnv, d: int, mid: int):
     else:
         raise ValueError(kind)
     w, m = divmod(mid, window)
-    return per_wrap ** w if w else one, m
+    return per_wrap ** w if w else env.one, m
 
 
 def reduce(c: Diagram, variant: AlgebraVariant, env: ParamEnv):
@@ -108,17 +107,14 @@ def reduce(c: Diagram, variant: AlgebraVariant, env: ParamEnv):
     if c.n != variant.n:
         raise ValueError("diagram size does not match the variant")
     kind = variant.kind
-    if kind == "TL":
-        if (c.bottom.crossing_count() or c.top.crossing_count() or c.mid):
-            raise ValueError("seam-crossing diagram handed to TL")
-        return Fraction(1) if env.backend == EXACT else complex(1), c
-    if kind in ("aTL", "pTL"):
-        if variant.even_only and not c.is_even():
-            raise ValueError(f"odd diagram handed to {kind}")
-        return Fraction(1) if env.backend == EXACT else complex(1), c
+    if kind == "TL" and (c.bottom.crossing_count() or c.top.crossing_count()
+                         or c.mid):
+        raise ValueError("seam-crossing diagram handed to TL")
     if variant.even_only and not c.is_even():
         raise ValueError(f"odd diagram handed to {kind}")
-    one = Fraction(1) if env.backend == EXACT else complex(1)
+    one = env.one
+    if kind in ("aTL", "pTL", "TL"):
+        return one, c
     d = c.d
     if d == 0:
         m = c.mid
@@ -154,7 +150,6 @@ class Algebra:
     def __init__(self, variant: AlgebraVariant, env: ParamEnv):
         self.variant = variant
         self.env = env
-        self._one = Fraction(1) if env.backend == EXACT else complex(1)
         self._reduce_memo: dict = {}
 
     @property
@@ -178,7 +173,7 @@ class Algebra:
         return AlgebraElement(self, out)
 
     def from_diagram(self, dia: Diagram, coeff=None) -> "AlgebraElement":
-        return self.element({dia: self._one if coeff is None else coeff})
+        return self.element({dia: self.env.one if coeff is None else coeff})
 
     def one(self) -> "AlgebraElement":
         return self.from_diagram(diagrams.identity(self.n))
@@ -515,8 +510,7 @@ def psi_bilinear(v: LinkState, w: LinkState, variant: AlgebraVariant,
     beta_exp, nc, v_pairs, _, links = trace_interface(v, w)
     if v_pairs:
         return MiddleValue(0, 0, d)  # two v-defects joined
-    coeff = env.beta ** beta_exp if beta_exp else (
-        Fraction(1) if env.backend == EXACT else complex(1))
+    coeff = env.beta ** beta_exp if beta_exp else env.one
     kind = variant.kind
     if d == 0:
         m = nc

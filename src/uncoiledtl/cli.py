@@ -2,7 +2,8 @@
 reproducible JSON-emitting commands.
 
 Exit codes: 0 success, 1 verification failure, 2 non-generic parameters,
-3 invalid input.  Identical flags and seed produce byte-identical output.
+3 invalid input; every nonzero code also writes a JSON error to stderr.
+Identical flags and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 
 from . import selfcheck as selfcheck_mod
 from .algebra import (AlgebraVariant, InfiniteAlgebraError,
-                      basis_enumerate, dimension_closed_form)
+                      ResourceLimitError, basis_enumerate,
+                      dimension_closed_form)
 from .projectors import (build_projector_Q, gamma_residuals,
                          gamma_solve, gamma_table_conjecture,
                          projector_certificate)
@@ -36,7 +38,10 @@ ALGEBRA_NAMES = {
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _build_env(args, kind: str, n: int) -> ParamEnv:
@@ -70,13 +75,15 @@ def _emit(doc, args) -> None:
 def cmd_dims(args) -> int:
     kind = ALGEBRA_NAMES[args.algebra]
     out = {"algebra": args.algebra, "results": []}
-    ns = [args.n] if args.n else list(range(1, args.max_n + 1))
+    ns = [args.n] if args.n is not None else range(1, args.max_n + 1)
     ok = True
     for n in ns:
         try:
             variant = AlgebraVariant(kind, n)
         except ValueError:
-            continue
+            if args.n is not None:
+                raise
+            continue  # a sweep skips the sizes the kind does not admit
         closed = dimension_closed_form(variant)
         row = {"n": n, "closed_form": closed}
         if args.enumerate:
@@ -152,14 +159,13 @@ def cmd_projector(args) -> int:
 
 
 def cmd_central(args) -> int:
-    kind = ALGEBRA_NAMES.get(args.algebra, "aTL") if args.algebra else "aTL"
     n = args.n
     env = _build_env(args, "aTL", n)
     if args.d is None:
         ds = list(range(n % 2, n + 1, 2))
     else:
         ds = [args.d]
-    k = Fraction(args.k) if args.k else None
+    k = _parse_rational(args.k) if args.k else None
     results = []
     ok = True
     for d in ds:
@@ -187,8 +193,16 @@ def cmd_selfcheck(args) -> int:
     return EXIT_OK if doc["passed"] else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other invalid input: a
+    JSON error on stderr and exit 3, not a usage message."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="utl",
         description="uncoiled Temperley-Lieb algebras: enumeration, "
                     "projectors, verification")
@@ -239,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("central", help="central element eigenvalue checks")
     common(sp, algebra=False)
-    sp.add_argument("--algebra", choices=sorted(ALGEBRA_NAMES))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int)
     sp.add_argument("--which", choices=("F", "Fbar", "G", "H", "OmegaN"),
@@ -255,18 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        if code == EXIT_VERIFY:
+            print(json.dumps({"error": "verification failed",
+                              "detail": f"a check of utl {args.command} "
+                                        "is false on stdout"}),
+                  file=sys.stderr)
+        return code
+    except SystemExit as exc:  # --help
         return EXIT_INVALID if exc.code else EXIT_OK
-    try:
-        return args.func(args)
     except NonGenericParameterError as exc:
         print(json.dumps({"error": "non-generic parameters",
                           "detail": str(exc)}), file=sys.stderr)
         return EXIT_NONGENERIC
-    except (ValueError, InfiniteAlgebraError, KeyError) as exc:
+    except (ValueError, InfiniteAlgebraError, KeyError,
+            ResourceLimitError) as exc:
         print(json.dumps({"error": "invalid input", "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_INVALID

@@ -385,9 +385,37 @@ def _wires(c: Diagram):
     return tuple(tgt), tuple(pos)
 
 
-def _cross_count(x: int, n: int) -> int:
-    """Number of seam copies at or left of cover position x."""
-    return (2 * x + 1) // (2 * n)
+def from_cover(bot, top, through, loops: int) -> Diagram:
+    """Assemble a diagram from partner cover positions.
+
+    bot[i] (top[i]) is the cover position of the other end of the arc at
+    bottom (top) node i, None at a defect; through[i] is the top cover
+    position reached from bottom defect i.  ``loops`` is the mid when no
+    defect survives.
+    """
+    n = len(bot)
+    faces = []
+    for partners in (bot, top):
+        nodes = [DEFECT] * n
+        for i, x in enumerate(partners):
+            if x is not None:
+                j = x % n
+                nodes[i] = (j, j != x)
+        faces.append(_intern_state(tuple(nodes)))
+    bottom, top_state = faces
+    d = bottom.d
+    if not d:
+        return intern_diagram(bottom, top_state, loops)
+    index_of = {p: a for a, p in enumerate(top_state.defects)}
+    mid = None
+    for a, pb in enumerate(bottom.defects):
+        x = through[pb]
+        r = index_of[x % n] + d * (x // n) - a
+        if mid is None:
+            mid = r
+        elif mid != r:
+            raise AssertionError("through-lines with unequal winding")
+    return intern_diagram(bottom, top_state, mid)
 
 
 def multiply_raw(c1: Diagram, c2: Diagram):
@@ -410,7 +438,6 @@ def multiply_raw(c1: Diagram, c2: Diagram):
     seen = bytearray(n)   # interface base nodes consumed
     top_used = bytearray(n)
 
-    d_new = 0
     for i in range(n):
         if bot[i] is not None:
             continue
@@ -436,7 +463,6 @@ def multiply_raw(c1: Diagram, c2: Diagram):
                 continue
             through[i] = p
             top_used[t - n] = 1          # consumed by a through-line
-            d_new += 1
             break
 
     for i in range(n):
@@ -491,34 +517,9 @@ def multiply_raw(c1: Diagram, c2: Diagram):
                 raise AssertionError("loop with |winding| > 1")
             nc_gained += 1
 
-    bnodes = [DEFECT] * n
-    tnodes = [DEFECT] * n
-    for i in range(n):
-        x = bot[i]
-        if x is not None:
-            j = x % n
-            bnodes[i] = (j, j != x)
-        x = topp[i]
-        if x is not None:
-            j = x % n
-            tnodes[i] = (j, j != x)
-    bottom = _intern_state(tuple(bnodes))
-    top = _intern_state(tuple(tnodes))
-    if d_new:
-        index_of = {p: a for a, p in enumerate(top.defects)}
-        mid = None
-        for a, pb in enumerate(bottom.defects):
-            x = through[pb]
-            r = index_of[x % n] + d_new * (x // n) - a
-            if mid is None:
-                mid = r
-            elif mid != r:
-                raise AssertionError("through-lines with unequal winding")
-        result = intern_diagram(bottom, top, mid)
-    else:
-        inherited = (c1.mid if c1.d == 0 else 0) + (c2.mid if c2.d == 0 else 0)
-        result = intern_diagram(bottom, top, inherited + nc_gained)
-    return result, beta_exp, nc_gained
+    inherited = (c1.mid if c1.d == 0 else 0) + (c2.mid if c2.d == 0 else 0)
+    return (from_cover(bot, topp, through, inherited + nc_gained), beta_exp,
+            nc_gained)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -636,101 +637,19 @@ def outer_face(state: LinkState, shift: int, pairs, live, anchor: int,
 def act_on_state(c: Diagram, w: LinkState):
     """Draw the link state w above the diagram c and read off the bottom.
 
-    Returns (beta_exp, nc_count, z_exp, new LinkState), or None when two
-    defects of w are joined.  z_exp counts seam crossings of the defects,
-    leftward-downward positive; nc loops can only arise for d = 0.
+    This is half of the product c * (w, 0, w): the same interface trace,
+    with only c's outer face relabelled.  Returns (beta_exp, nc_count,
+    z_exp, new LinkState), or None when two defects of w are joined.  z_exp
+    counts seam crossings of the defects, leftward-downward positive; nc
+    loops can only arise for d = 0.
     """
     if c.n != w.n:
         raise ValueError("size mismatch")
-    n = c.n
-    t1, p1 = _wires(c)
-    wc = w.cover
-
-    new_nodes = [DEFECT] * n
-    new_defect_of = {}
-    z_exp = 0
-    used_top = set()
-
-    def descend(port, shift):
-        # Walk downward through c / the arcs of w from a c-top port.
-        # Returns ('B', pos) or ('D', base) when hitting a defect of w.
-        while True:
-            t, p = t1[port], p1[port] + shift
-            if t < n:
-                return "B", p
-            base = t - n
-            used_top.add(base)
-            up = wc[base]
-            if up is None:
-                return "D", base
-            part = up + (p - base)
-            b2 = part % n
-            used_top.add(b2)
-            port, shift = n + b2, part - b2
-
-    for di, p in enumerate(w.defects):
-        used_top.add(p)
-        kind, out = descend(n + p, 0)
-        if kind == "D":
-            return None
-        new_defect_of[out % n] = di
-        z_exp += _cross_count(p, n) - _cross_count(out, n)
-
-    bot_pair = {}
-    for i in range(n):
-        if i in new_defect_of or i in bot_pair:
-            continue
-        t, p = t1[i], p1[i]
-        if t < n:
-            bot_pair[i] = p
-            bot_pair[t] = i + (t - p)
-            continue
-        base = t - n
-        used_top.add(base)
-        up = wc[base]
-        if up is None:
-            raise AssertionError("defect path revisited")
-        part = up + (p - base)
-        b2 = part % n
-        used_top.add(b2)
-        kind, out = descend(n + b2, part - b2)
-        if kind != "B":
-            raise AssertionError("arc trace ended on a defect")
-        bot_pair[i] = out
-        bot_pair[out % n] = i + (out % n - out)
-
-    beta_exp = 0
-    nc = 0
-    for start in range(n):
-        if start in used_top:
-            continue
-        used_top.add(start)
-        pos, layer = start, 1  # 1 = about to use w's arc, 0 = c's top arc
-        while True:
-            base = pos % n
-            if layer == 1:
-                up = wc[base]
-                p = up + (pos - base)
-            else:
-                t, p0 = t1[n + base], p1[n + base]
-                if t < n:
-                    raise AssertionError("loop trace fell through")
-                p = p0 + (pos - base)
-            b2 = p % n
-            used_top.add(b2)
-            if b2 == start:
-                delta = p - start
-                break
-            pos, layer = p, 1 - layer
-        if delta == 0:
-            beta_exp += 1
-        else:
-            if abs(delta) != n:
-                raise AssertionError("loop with |winding| > 1")
-            nc += 1
-
-    for i, x in bot_pair.items():
-        j = x % n
-        new_nodes[i] = (j, j != x)
-    state = _intern_state(tuple(new_nodes))
-    return beta_exp, nc, z_exp, state
+    beta_exp, nc, lower_pairs, upper_pairs, links = trace_interface(c.top, w)
+    if upper_pairs:
+        return None
+    d_new = len(links)
+    anchor, j0 = links[0] if d_new else (None, 0)
+    live = frozenset(x for x, _ in links)
+    state, li = outer_face(c.bottom, c.mid, lower_pairs, live, anchor, d_new)
+    return beta_exp, nc, j0 - li if d_new else 0, state

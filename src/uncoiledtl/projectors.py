@@ -23,10 +23,6 @@ from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, STARRED_KINDS,
                       gamma_hat, qfact, qnum, validate_env)
 
 
-def _one(env):
-    return Fraction(1) if env.backend == EXACT else complex(1)
-
-
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -236,7 +232,7 @@ class GammaTable:
         if par is not None and step % 2 == 0 and l2 % 2 != par:
             return 0  # the half-odd grid vanishes for the periodic even kinds
         gh = gamma_hat(kind, self.env)
-        fold = _one(self.env)
+        fold = self.env.one
         guard = 0
         while True:
             if 0 <= l2 < window and (par is None or l2 % 2 == par):
@@ -276,9 +272,14 @@ class GammaTable:
 
 
 def check_sector(variant: AlgebraVariant, r, env: ParamEnv) -> None:
-    """For uaTL1 over exact rationals, omega in {1, -1} realizes exactly the
-    sectors r = 0 and r = n/2; reject a mismatched label early."""
-    if variant.kind != "uaTL1" or r is None or env.backend != EXACT:
+    """Reject an affine sector label outside 0..n-1.  For uaTL1 over exact
+    rationals, omega in {1, -1} realizes exactly the sectors r = 0 and
+    r = n/2; reject a mismatched label early."""
+    if r is None or variant.kind not in AFFINE_KINDS:
+        return
+    if not 0 <= r < variant.n:
+        raise ValueError(f"sector r={r} outside 0..{variant.n - 1}")
+    if variant.kind != "uaTL1" or env.backend != EXACT:
         return
     want = 0 if env.omega == 1 else variant.n // 2
     if r != want:
@@ -290,9 +291,8 @@ def check_sector(variant: AlgebraVariant, r, env: ParamEnv) -> None:
 def gamma_initial(variant: AlgebraVariant, r, env: ParamEnv, k0_l2: int):
     """Gamma_{0, l}: delta_{l,0} (periodic) or omega^{-2l}/n (affine)."""
     if variant.kind in AFFINE_KINDS:
-        return env.omega ** (-k0_l2) / Fraction(variant.n) if \
-            env.backend == EXACT else env.omega ** (-k0_l2) / variant.n
-    return _one(env) if k0_l2 == 0 else 0
+        return env.omega ** (-k0_l2) / variant.n
+    return env.one if k0_l2 == 0 else 0
 
 
 def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
@@ -480,71 +480,40 @@ def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
     pref = 1 / ((q - 1 / q) ** (2 * k - 1) * qnum(k, env)
                 * qfact(k - 1, env) ** 2)
     from .scalars import qbinom
-    total = 0
+    # One triple sum for every kind.  They differ in the twist of den and
+    # the scale of its exponent, den = twist q^(+-scale (n - 2(k - kap))) - 1,
+    # in the exponent of num, q^(+-(base + slope kap + n tau)), and in the
+    # offsets lo, hi of the two q-number products.
+    lo, hi = mk2 - ell2, ell2
+    base, slope = n * ell2 // 2, 0
     if kind in AFFINE_KINDS:
         w = env.omega
-        pref = pref * w ** (-ell2) / Fraction(n) if env.backend == EXACT \
-            else pref * w ** (-ell2) / n
-        for sigma in (1, -1):
-            for kap in range(k):
-                den = w * w * q ** (sigma * (n - 2 * (k - kap))) - 1
-                for tau in range(kap + 1):
-                    num = q ** (sigma * (ell2 * (k - kap) + n * tau))
-                    term = (-1) ** kap * sigma * num / den \
-                        * qbinom(k - 1, kap, env) * qbinom(kap, tau, env)
-                    for j in range(kap - tau):
-                        term = term * qnum(mk2 - ell2 + j, env)
-                    for j in range(tau):
-                        term = term * qnum(ell2 + j, env)
-                    for j in range(kap):
-                        term = term / qnum(n - k + j, env)
-                    total = total + term
-        return pref * total
-    if kind in ("upTL1", "upTL2"):
-        gh = gamma_hat(kind, env)
-        for sigma in (1, -1):
-            for kap in range(k):
-                den = gh * q ** (sigma * n * (n - 2 * (k - kap)) // 2) - 1
-                for tau in range(kap + 1):
-                    num = q ** (sigma * (n * ell2 // 2 + n * tau))
-                    term = (-1) ** kap * sigma * num / den \
-                        * qbinom(k - 1, kap, env) * qbinom(kap, tau, env)
-                    for j in range(kap - tau):
-                        term = term * qnum(mk2 - ell2 + j, env)
-                    for j in range(tau):
-                        term = term * qnum(ell2 + j, env)
-                    for j in range(kap):
-                        term = term / qnum(n - k + j, env)
-                    total = total + term
-        return pref * total
-    if kind == "upTL":
-        g2 = env.gamma * env.gamma
-        low = ell2 < mk2  # l <= m_k - 1/2 versus l >= m_k + 1/2
-        for sigma in (1, -1):
-            for kap in range(k):
-                den = g2 * q ** (sigma * n * (n - 2 * (k - kap))) - 1
-                for tau in range(kap + 1):
-                    if low:
-                        num = q ** (sigma * (n * ell2 // 2 + n * tau))
-                    else:
-                        num = q ** (sigma * (n * ell2 // 2 + n * kap + n * tau))
-                    term = (-1) ** kap * sigma * num / den \
-                        * qbinom(k - 1, kap, env) * qbinom(kap, tau, env)
-                    if low:
-                        for j in range(kap - tau):
-                            term = term * qnum(mk2 - ell2 + j, env)
-                        for j in range(tau):
-                            term = term * qnum(ell2 + j, env)
-                    else:
-                        for j in range(kap - tau):
-                            term = term * qnum(2 * mk2 - ell2 + j, env)
-                        for j in range(tau):
-                            term = term * qnum(ell2 - mk2 + j, env)
-                    for j in range(kap):
-                        term = term / qnum(n - k + j, env)
-                    total = total + term
-        return pref * total
-    raise ValueError(f"no conjecture formula for {kind}")
+        pref = pref * w ** (-ell2) / n
+        twist, scale, base, slope = w * w, 1, ell2 * k, -ell2
+    elif kind in ("upTL1", "upTL2"):
+        twist, scale = gamma_hat(kind, env), n // 2
+    elif kind == "upTL":
+        twist, scale = env.gamma * env.gamma, n
+        if ell2 >= mk2:  # l >= m_k + 1/2
+            slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
+    else:
+        raise ValueError(f"no conjecture formula for {kind}")
+    total = 0
+    for sigma in (1, -1):
+        for kap in range(k):
+            den = twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1
+            for tau in range(kap + 1):
+                num = q ** (sigma * (base + slope * kap + n * tau))
+                term = (-1) ** kap * sigma * num / den \
+                    * qbinom(k - 1, kap, env) * qbinom(kap, tau, env)
+                for j in range(kap - tau):
+                    term = term * qnum(lo + j, env)
+                for j in range(tau):
+                    term = term * qnum(hi + j, env)
+                for j in range(kap):
+                    term = term / qnum(n - k + j, env)
+                total = total + term
+    return pref * total
 
 
 def gamma_table_conjecture(variant: AlgebraVariant, n: int, r=None,
@@ -581,6 +550,32 @@ def build_projector_Q(variant: AlgebraVariant, n: int, r=None,
     return out
 
 
+def _annihilator_rows(alg: Algebra, basis) -> list:
+    """The rows of {e_j X = X e_j = 0 for all j} (plus Omega X = omega X =
+    X Omega for the affine kinds) over the coordinates of X in ``basis``."""
+    env = alg.env
+    zero, dim = env.zero, len(basis)
+    ops = []
+    for j in range(alg.n):
+        g = alg.e(j)
+        ops.append(lambda x, g=g: g * x)
+        ops.append(lambda x, g=g: x * g)
+    if alg.variant.kind in AFFINE_KINDS:
+        om = alg.omega()
+        w = env.omega
+        ops.append(lambda x: om * x - w * x)
+        ops.append(lambda x: x * om - w * x)
+    rows = []
+    for op in ops:
+        cols = {}
+        for j, dia in enumerate(basis):
+            image = op(alg.from_diagram(dia))
+            for dd, c in image.terms.items():
+                cols.setdefault(dd, [zero] * dim)[j] = c
+        rows.extend(cols.values())
+    return rows
+
+
 def projector_oracle(variant: AlgebraVariant, n: int, r=None,
                      env: ParamEnv | None = None) -> AlgebraElement:
     """Solve the annihilation conditions over the full sandwich basis.
@@ -592,38 +587,13 @@ def projector_oracle(variant: AlgebraVariant, n: int, r=None,
     """
     alg = Algebra(variant, env)
     basis = basis_enumerate(variant)
-    index = {d: i for i, d in enumerate(basis)}
     dim = len(basis)
-    rows = []
-    zero = Fraction(0) if env.backend == EXACT else complex(0)
-
-    def add_rows(op):
-        cols = {}
-        for j, dia in enumerate(basis):
-            image = op(alg.from_diagram(dia))
-            for dd, c in image.terms.items():
-                cols.setdefault(dd, [zero] * dim)[j] = c
-        rows.extend(cols.values())
-
-    ops = []
-    for j in range(n):
-        g = alg.e(j)
-        ops.append(lambda x, g=g: g * x)
-        ops.append(lambda x, g=g: x * g)
-    if variant.kind in AFFINE_KINDS:
-        om = alg.omega()
-        w = env.omega
-        ops.append(lambda x: om * x - w * x)
-        ops.append(lambda x: x * om - w * x)
-    for op in ops:
-        add_rows(op)
-    null = linalg.nullspace(rows, dim)
+    null = linalg.nullspace(_annihilator_rows(alg, basis), dim)
     if len(null) != 1:
         raise linalg.SingularSystemError(
             f"annihilator has dimension {len(null)}, expected 1")
     vec = null[0]
-    id_idx = index[id_diagram(n)]
-    lead = vec[id_idx]
+    lead = vec[basis.index(id_diagram(n))]
     if not lead:
         raise linalg.SingularSystemError("solution misses the identity block")
     want = (Fraction(1, n) if variant.kind in AFFINE_KINDS else Fraction(1))
@@ -637,30 +607,7 @@ def annihilator_rank(variant: AlgebraVariant, n: int,
     """(rank of the constraint system, basis dimension)."""
     alg = Algebra(variant, env)
     basis = basis_enumerate(variant)
-    dim = len(basis)
-    zero = Fraction(0)
-    rows = []
-    ops = [(alg.e(j), side) for j in range(n) for side in ("L", "R")]
-    for g, side in ops:
-        cols = {}
-        for j, dia in enumerate(basis):
-            x = alg.from_diagram(dia)
-            image = g * x if side == "L" else x * g
-            for dd, c in image.terms.items():
-                cols.setdefault(dd, [zero] * dim)[j] = c
-        rows.extend(cols.values())
-    if variant.kind in AFFINE_KINDS:
-        om = alg.omega()
-        w = env.omega
-        for side in ("L", "R"):
-            cols = {}
-            for j, dia in enumerate(basis):
-                x = alg.from_diagram(dia)
-                image = (om * x if side == "L" else x * om) - w * x
-                for dd, c in image.terms.items():
-                    cols.setdefault(dd, [zero] * dim)[j] = c
-            rows.extend(cols.values())
-    return linalg.rank(rows), dim
+    return linalg.rank(_annihilator_rows(alg, basis)), len(basis)
 
 
 def check_e0Z(variant: AlgebraVariant, n: int, k: int, l2: int,

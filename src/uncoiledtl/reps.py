@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import diagrams
 from .algebra import Algebra, AlgebraElement, AlgebraVariant, ResourceLimitError
 from .diagrams import Diagram, LinkState, act_on_state, link_states
-from .scalars import EXACT, ParamEnv
+from .scalars import ParamEnv
 
 MAX_BRAID_N = 8
 MAX_CHEBYSHEV_DEGREE = 24
@@ -44,8 +44,7 @@ class StandardModule:
         return self.basis.index(state)
 
     def vector(self, state: LinkState) -> "ModuleVector":
-        return ModuleVector(self, {state: Fraction(1) if
-                                   self.env.backend == EXACT else complex(1)})
+        return ModuleVector(self, {state: self.env.one})
 
     def to_json(self):
         from .scalars import scalar_to_json
@@ -94,7 +93,7 @@ def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
     env = module.env
     if nc and module.d > 0:
         raise AssertionError("non-contractible loop in a d > 0 action")
-    coeff = Fraction(1) if env.backend == EXACT else complex(1)
+    coeff = env.one
     if beta_exp:
         coeff = coeff * env.beta ** beta_exp
     if nc:
@@ -129,7 +128,7 @@ def matrix_of(a, module: StandardModule):
     """Row-major matrix of the action on the ordered basis of B_{n,d}."""
     basis = module.basis
     dim = len(basis)
-    zero = Fraction(0) if module.env.backend == EXACT else complex(0)
+    zero = module.env.zero
     index = {s: i for i, s in enumerate(basis)}
     cols = []
     for state in basis:
@@ -139,11 +138,6 @@ def matrix_of(a, module: StandardModule):
             col[index[s]] = c
         cols.append(col)
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-
-def matrix_to_json(m):
-    from .scalars import scalar_to_json
-    return [[scalar_to_json(x) for x in row] for row in m]
 
 
 # -- central elements ---------------------------------------------------------
@@ -158,62 +152,25 @@ def braid_transfer(n: int, env: ParamEnv, bar: bool = False) -> AlgebraElement:
     s = env.s
     acc = {}
     for choice in itertools.product((True, False), repeat=n):
-        # m_i joins face i (its east side) to face i+1 (west side); True = the
-        # resolution composing to Omega: south-east plus west-north.
-        pairs = {}
+        # m_i joins face i (its east side) to face j = i+1 (west side); True
+        # = the resolution composing to Omega: south-east plus west-north.
+        # Seen from node j, node i sits at cover position j - 1.
+        bot, top, through = [None] * n, [None] * n, [None] * n
         for i in range(n):
-            a_i = choice[i]
-            a_j = choice[(i + 1) % n]
-            src = ("B", i) if a_i else ("T", i)
-            dst = ("T", i + 1) if a_j else ("B", i + 1)
-            pairs[src] = dst
-        dia = _diagram_from_pairs(n, pairs)
+            j = (i + 1) % n
+            if choice[i] and choice[j]:      # bottom i to top i+1
+                through[i] = i + 1
+            elif choice[i]:                  # bottom i to bottom i+1
+                bot[i], bot[j] = i + 1, j - 1
+            elif choice[j]:                  # top i to top i+1
+                top[i], top[j] = i + 1, j - 1
+            else:                            # top i to bottom i+1
+                through[j] = j - 1
+        dia = diagrams.from_cover(bot, top, through, 0)
         w = sum(1 if c else -1 for c in choice)
         coeff = s ** (-w if bar else w)
         acc[dia] = acc.get(dia, 0) + coeff
     return alg.element(acc)
-
-
-def _diagram_from_pairs(n: int, pairs: dict) -> Diagram:
-    """Assemble a diagram from one-directional cover pairs on its ports."""
-    bot = {}
-    top = {}
-    through = {}
-    for (s1, p1), (s2, p2) in pairs.items():
-        if s1 == s2 == "B":
-            bot[p1 % n] = p2 + (p1 % n - p1)
-            bot[p2 % n] = p1 + (p2 % n - p2)
-        elif s1 == s2 == "T":
-            top[p1 % n] = p2 + (p1 % n - p1)
-            top[p2 % n] = p1 + (p2 % n - p2)
-        elif s1 == "B":
-            through[p1 % n] = p2 + (p1 % n - p1)
-        else:
-            through[p2 % n] = p1 + (p2 % n - p2)
-
-    def state(pairmap):
-        nodes = [diagrams.DEFECT] * n
-        for i in range(n):
-            if i in pairmap:
-                x = pairmap[i]
-                nodes[i] = (x % n, x % n != x)
-        return LinkState(nodes, validate=False)
-
-    bottom = state(bot)
-    topst = state(top)
-    d = len(through)
-    if d == 0:
-        return Diagram(bottom, topst, 0)
-    ti = {p: a for a, p in enumerate(topst.defects)}
-    mid = None
-    for a, p in enumerate(bottom.defects):
-        x = through[p]
-        r = ti[x % n] + d * (x // n) - a
-        if mid is None:
-            mid = r
-        else:
-            assert mid == r
-    return Diagram(bottom, topst, mid)
 
 
 def chebyshev_like(f: AlgebraElement, m: int) -> AlgebraElement:
@@ -227,6 +184,23 @@ def chebyshev_like(f: AlgebraElement, m: int) -> AlgebraElement:
     for _ in range(2, m + 1):
         prev, cur = cur, f * cur - prev
     return cur
+
+
+def _chebyshev_degree(n: int, k) -> int:
+    """m = 2nk, the Chebyshev degree of H(k); k in (1/2) N, an integer for
+    n odd."""
+    if k is None:
+        raise ValueError("H(k) needs k")
+    k = Fraction(k)
+    if n % 2 and k.denominator != 1:
+        raise ValueError("H(k) needs integer k for n odd")
+    if k < 0 or k.denominator not in (1, 2):
+        raise ValueError("H(k) needs k in (1/2) N")
+    m = int(2 * n * k)
+    if m > MAX_CHEBYSHEV_DEGREE:
+        raise ResourceLimitError(
+            f"H(k) limited to 2nk <= {MAX_CHEBYSHEV_DEGREE}")
+    return m
 
 
 def build_central(n: int, which: str, env: ParamEnv, k=None) -> AlgebraElement:
@@ -246,19 +220,8 @@ def build_central(n: int, which: str, env: ParamEnv, k=None) -> AlgebraElement:
         fb = braid_transfer(n, env, bar=True)
         return f * f + fb * fb - (q ** n + q ** (-n)) * (f * fb)
     if which == "H":
-        k = Fraction(k)
-        if n % 2 and k.denominator != 1:
-            raise ValueError("H(k) needs integer k for n odd")
-        if k.denominator not in (1, 2):
-            raise ValueError("H(k) needs k in (1/2) N")
-        m = 2 * n * k
-        if m.denominator != 1:
-            raise ValueError("2nk must be an integer")
-        m = int(m)
-        if m > MAX_CHEBYSHEV_DEGREE:
-            raise ResourceLimitError(
-                f"H(k) limited to 2nk <= {MAX_CHEBYSHEV_DEGREE}")
-        n2k = int(n * n * k)
+        m = _chebyshev_degree(n, k)
+        n2k = int(n * n * Fraction(k))
         f = braid_transfer(n, env)
         u = chebyshev_like(f, m)
         return u - (q ** n2k) * alg.omega(m) - (q ** (-n2k)) * alg.omega(-m)
@@ -305,14 +268,8 @@ def central_matrix(n: int, which: str, module: StandardModule, k=None):
     env = module.env
     if which != "H":
         return matrix_of(build_central(n, which, env), module)
+    m = _chebyshev_degree(n, k)
     k = Fraction(k)
-    m = 2 * n * k
-    if m.denominator != 1:
-        raise ValueError("2nk must be an integer")
-    m = int(m)
-    if m > MAX_CHEBYSHEV_DEGREE:
-        raise ResourceLimitError(
-            f"H(k) limited to 2nk <= {MAX_CHEBYSHEV_DEGREE}")
     fmat = matrix_of(braid_transfer(n, env), module)
     dim = len(fmat)
     two_id = [[(2 if i == j else 0) for j in range(dim)] for i in range(dim)]

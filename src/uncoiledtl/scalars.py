@@ -55,6 +55,15 @@ class ParamEnv:
             raise NonGenericParameterError("s must avoid {0, 1, -1}")
 
     @property
+    def one(self):
+        """The backend's multiplicative unit: Fraction(1) or complex(1)."""
+        return Fraction(1) if self.backend == EXACT else complex(1)
+
+    @property
+    def zero(self):
+        return Fraction(0) if self.backend == EXACT else complex(0)
+
+    @property
     def q(self):
         return self.s * self.s
 
@@ -134,7 +143,7 @@ def gamma_hat(kind: str, env: ParamEnv):
     """The unwinding twist used by the window conventions: gamma, or 1 for
     the starred kinds (whose full turn is weight one)."""
     if kind in STARRED_KINDS:
-        return Fraction(1) if env.backend == EXACT else complex(1)
+        return env.one
     return env.gamma
 
 
@@ -146,9 +155,10 @@ def guard_values(kind: str, n: int, env: ParamEnv):
     """All denominators the projector machinery divides by, evaluated at env.
 
     These are the guards listed with the projector design decisions: the
-    q-numbers up to [2n], the kernel denominators gamma-hat^(+-1) q^(+-n m_k) - 1
-    (squared versions for n odd), the starred combinations alpha[n/2] -+ [n],
-    and the affine conjecture denominators omega^2 q^(+-2 m_k) - 1.
+    q-numbers up to [2n], the twist gamma (and omega for the affine kinds),
+    the kernel denominators gamma-hat^(+-1) q^(+-n m_k) - 1 (squared
+    versions for n odd), the starred combinations alpha[n/2] -+ [n], and the
+    affine conjecture denominators omega^2 q^(+-2 m_k) - 1.
     """
     q = env.q
     vals = [env.s, env.s - 1, env.s + 1]
@@ -156,6 +166,9 @@ def guard_values(kind: str, n: int, env: ParamEnv):
         vals.append(qnum(j, env))
     if kind not in UNCOILED_KINDS:
         return vals
+    vals.append(env.gamma)
+    if kind in AFFINE_KINDS:
+        vals.append(env.omega)
     gh = gamma_hat(kind, env)
     for k in range(1, (n - 1) // 2 + 1):
         mk2 = n - 2 * k  # = 2 m_k
@@ -241,13 +254,44 @@ def sample_env(seed: int, variant, n: int | None = None) -> ParamEnv:
 
 # -- serialization ----------------------------------------------------------
 
+# Decimal digits per piece when converting long integers: int() and str()
+# refuse more digits than sys.get_int_max_str_digits() (4300 by default
+# since Python 3.11), which may be set no lower than 640.
+_CHUNK = 640
+_CHUNK_BASE = 10 ** _CHUNK
+
+
+def _int_to_str(x: int) -> str:
+    """str(x) for an integer of any length."""
+    if -_CHUNK_BASE < x < _CHUNK_BASE:
+        return str(x)
+    head, tail = divmod(abs(x), _CHUNK_BASE)
+    sign = "-" if x < 0 else ""
+    return sign + _int_to_str(head) + str(tail).zfill(_CHUNK)
+
+
+def _int_from_str(text: str) -> int:
+    """int(text) for a decimal string of any length."""
+    if len(text) <= _CHUNK:
+        return int(text)
+    sign = text[0] if text[0] in "+-" else ""
+    digits = text[len(sign):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:20]}...")
+    first = len(digits) % _CHUNK or _CHUNK
+    value = int(digits[:first])
+    for i in range(first, len(digits), _CHUNK):
+        value = value * _CHUNK_BASE + int(digits[i:i + _CHUNK])
+    return -value if sign == "-" else value
+
+
 def scalar_to_json(x):
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _int_to_str(x.numerator)
+        return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
     if isinstance(x, int):
-        return str(x)
+        return _int_to_str(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     if isinstance(x, float):
@@ -259,8 +303,8 @@ def scalar_from_json(obj):
     if isinstance(obj, str):
         if "/" in obj:
             num, den = obj.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(obj))
+            return Fraction(_int_from_str(num), _int_from_str(den))
+        return Fraction(_int_from_str(obj))
     if isinstance(obj, dict):
         return complex(obj["re"], obj["im"])
     raise TypeError(f"cannot parse scalar {obj!r}")

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as hst
 
 from uncoiledtl.cli import run
 
@@ -133,3 +137,87 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["match"] is True
+
+
+def _run_quiet(argv):
+    """run(argv) with stdout and stderr captured: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _error_code(argv):
+    code, _, err = _run_quiet(argv)
+    assert "error" in json.loads(err), err
+    return code
+
+
+def test_zero_denominator_is_invalid_input():
+    assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
+                        "--z", "1/0"]) == 3
+    assert _error_code(["central", "--n", "3", "--which", "H",
+                        "--k", "1/0"]) == 3
+
+
+def test_zero_twist_is_nongeneric():
+    assert _error_code(["gamma", "--algebra", "uptl", "--n", "3",
+                        "--gamma", "0"]) == 2
+    assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
+                        "--gamma-root", "0"]) == 2
+
+
+def test_affine_sector_out_of_range_is_invalid():
+    assert _error_code(["projector", "--algebra", "uatl", "--n", "3",
+                        "--r", "5"]) == 3
+    assert _error_code(["gamma", "--algebra", "uatl2", "--n", "4",
+                        "--r", "-1"]) == 3
+
+
+def test_dims_explicit_size_must_be_admitted():
+    assert _error_code(["dims", "--algebra", "uatl", "--n", "0"]) == 3
+    assert _error_code(["dims", "--algebra", "uatl", "--n", "4"]) == 3
+
+
+def test_gamma_prints_integers_past_the_str_digit_limit():
+    code, out, _ = _run_quiet(["gamma", "--algebra", "uptl", "--n", "21",
+                               "--seed", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["match"] is True
+    assert doc["solver"]["entries"] == doc["conjecture"]["entries"]
+    longest = max(len(e["value"]) for e in doc["solver"]["entries"])
+    assert longest > 4300
+
+
+RATIONAL = hst.one_of(
+    hst.integers(-12, 12).map(str),
+    hst.tuples(hst.integers(-12, 12), hst.integers(-3, 6)).map(
+        lambda pq: f"{pq[0]}/{pq[1]}"))
+RATIONAL_FLAGS = ("--q-half", "--alpha", "--gamma", "--gamma-root", "--z")
+
+
+@given(hst.sampled_from(("gamma", "projector", "central")),
+       hst.dictionaries(hst.sampled_from(RATIONAL_FLAGS), RATIONAL,
+                        max_size=3),
+       RATIONAL, hst.integers(0, 5), hst.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_flags_keep_the_exit_code_contract(command, flags, k, seed,
+                                                    data):
+    if command == "central":
+        argv = ["central", "--n", "3", "--which",
+                data.draw(hst.sampled_from(("F", "H"))), "--k", k]
+    else:
+        kind, n = data.draw(hst.sampled_from(
+            (("uatl", 3), ("uptl", 3), ("uatl1", 2), ("uptl1", 2),
+             ("uatl2", 2), ("uptl2", 2))))
+        argv = [command, "--algebra", kind, "--n", str(n)]
+        if command == "projector" and data.draw(hst.booleans()):
+            argv.append("--verify")
+    argv += ["--seed", str(seed)]
+    for flag, value in flags.items():
+        argv += [f"{flag}={value}"]
+    code, _, err = _run_quiet(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert "error" in json.loads(err), (argv, err)

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, all_defect, e,
-                                 flip, identity, link_states, multiply_raw,
-                                 omega, omega_inv, parity, recanonicalize)
+from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, act_on_state,
+                                 all_defect, e, flip, identity, link_states,
+                                 multiply_raw, omega, omega_inv, parity,
+                                 recanonicalize)
 
 D = DEFECT
 
@@ -187,6 +189,29 @@ def test_associativity_random_triples():
         y, b2b, n2b = multiply_raw(a, y)
         assert x == y
         assert b1 + b1b == b2 + b2b and n1 + n1b == n2 + n2b
+
+
+@given(hst.data())
+@settings(max_examples=400, deadline=None)
+def test_action_is_half_a_product(data):
+    """c . w is read off the pairwise product c * (w, 0, w): it vanishes
+    exactly when the product loses defects, and otherwise carries the same
+    loops, winding and bottom face."""
+    n = data.draw(hst.integers(1, 7), label="n")
+    sectors = range(n % 2, n + 1, 2)
+    d = data.draw(hst.sampled_from(sectors), label="d")
+    mid = data.draw(hst.integers(-2 * d, 2 * d) if d else hst.integers(0, 2),
+                    label="mid")
+    c = Diagram(data.draw(hst.sampled_from(link_states(n, d))),
+                data.draw(hst.sampled_from(link_states(n, d))), mid)
+    w = data.draw(hst.sampled_from(
+        link_states(n, data.draw(hst.sampled_from(sectors)))), label="w")
+    res, k, nc = multiply_raw(c, Diagram(w, w, 0))
+    got = act_on_state(c, w)
+    if res.d < w.d:
+        assert got is None
+    else:
+        assert got == (k, nc, res.mid if w.d else 0, res.bottom)
 
 
 def test_evenness_closure():
