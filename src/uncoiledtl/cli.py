@@ -37,7 +37,20 @@ ALGEBRA_NAMES = {
 }
 
 
+# Largest decimal exponent a rational flag may carry: Fraction("1e-N")
+# builds 10**N, which for N in the millions runs for minutes.
+_MAX_EXPONENT = 4300
+
+
 def _parse_rational(text: str) -> Fraction:
+    _, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:  # not an exponent; Fraction reports the text
+            too_large = False
+        if too_large:
+            raise ValueError(f"exponent of {text!r} exceeds {_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

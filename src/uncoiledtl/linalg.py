@@ -1,60 +1,80 @@
-"""Exact dense linear algebra over Fraction (or complex) entries.
+"""Exact sparse linear algebra over Fraction (or int) entries.
 
-Plain Gaussian elimination with a deterministic pivot order: scan columns
-left to right, take the first row with a nonzero entry.  Over Fractions the
-arithmetic is exact; the float path (used only by the complex backend)
-pivots on the first entry above a small threshold.
+Gauss-Jordan elimination on rows held as ``{column: value}`` dicts.  A
+column -> rows index limits each step to the rows with a nonzero in the
+pivot column, so the cost follows the nonzeros and their fill-in rather
+than rows x columns; the oracle's constraint systems hold a few nonzeros
+per row.  Pivot columns are taken left to right; within a column the
+candidate row with the fewest nonzeros is the pivot (ties go to the lowest
+index), which keeps fill-in small.
+
+The reduced row echelon form of a matrix is unique, so the pivot choice
+changes neither the pivot columns, nor the reduced rows, nor the nullspace
+basis read off them: only the time taken.  The arithmetic is exact, so
+entries must be Fractions or ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_PIVOT_TOL = 1e-12
-
 
 class SingularSystemError(ValueError):
     """The linear system has no unique solution at these parameters."""
 
 
-def _nonzero(x) -> bool:
-    if isinstance(x, (Fraction, int)):
-        return x != 0
-    return abs(x) > _PIVOT_TOL
+def echelon(rows):
+    """Row-reduce ``rows`` (a list of equal-length lists) in place to reduced
+    row echelon form and return the pivot columns, in order.
 
-
-def echelon(rows, rhs=None):
-    """Row-reduce in place; returns the list of pivot columns."""
+    Afterwards ``rows[i]`` is the reduced row of the i-th pivot and every
+    later row is zero.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    where = [set() for _ in range(ncols)]  # column -> rows nonzero there
+    for i, row in enumerate(sparse):
+        for c in row:
+            where[c].add(i)
+    used = [False] * len(rows)
+    order = []
     piv_cols = []
-    r = 0
     for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if _nonzero(rows[i][col]):
-                piv = i
-                break
-        if piv is None:
+        cands = [i for i in where[col] if not used[i]]
+        if not cands:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        if rhs is not None:
-            rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        if rhs is not None:
-            rhs[r] = rhs[r] * inv
-        for i in range(len(rows)):
-            if i != r and _nonzero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                if rhs is not None:
-                    rhs[i] = rhs[i] - f * rhs[r]
+        p = min(cands, key=lambda i: (len(sparse[i]), i))
+        used[p] = True
+        prow = sparse[p]
+        inv = Fraction(1) / prow[col]
+        if inv != 1:
+            for c in prow:
+                prow[c] *= inv
+        for i in where[col] - {p}:
+            row = sparse[i]
+            f = row[col]
+            for c, v in prow.items():
+                x = row.get(c)
+                if x is None:
+                    row[c] = -f * v
+                    where[c].add(i)
+                else:
+                    x -= f * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        where[c].discard(i)
+        order.append(p)
         piv_cols.append(col)
-        r += 1
-        if r == len(rows):
-            break
+    zero = Fraction(0)
+    for i in range(len(rows)):
+        rows[i] = dense = [zero] * ncols
+        if i < len(order):
+            for c, x in sparse[order[i]].items():
+                dense[c] = x
     return piv_cols
 
 
@@ -65,14 +85,7 @@ def rank(rows) -> int:
 
 def nullspace(rows, ncols):
     """A basis of the kernel of the (rows x ncols) matrix."""
-    work = [list(r) for r in rows if any(_nonzero(x) for x in r)]
-    if not work:
-        eye = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            eye.append(v)
-        return eye
+    work = [list(r) for r in rows]
     piv_cols = echelon(work)
     piv_set = set(piv_cols)
     free = [c for c in range(ncols) if c not in piv_set]
@@ -84,5 +97,3 @@ def nullspace(rows, ncols):
             v[pc] = -work[r][fc]
         basis.append(v)
     return basis
-
-

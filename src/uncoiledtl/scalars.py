@@ -201,6 +201,9 @@ def validate_env(env: ParamEnv, variant, n: int | None = None) -> None:
             raise NonGenericParameterError("affine variant needs omega")
         if not env.eq(env.gamma, env.omega ** n):
             raise NonGenericParameterError("gamma != omega^n")
+        if kind == "uaTL1" and not env.eq(env.gamma, env.one):
+            raise NonGenericParameterError(
+                "uaTL1 needs omega^n = 1 (its full turn weighs one)")
     for v in guard_values(kind, n, env):
         if env.is_zero(v):
             raise NonGenericParameterError(

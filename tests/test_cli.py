@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from hypothesis import given, settings, strategies as hst
 
@@ -172,6 +173,29 @@ def test_affine_sector_out_of_range_is_invalid():
                         "--r", "5"]) == 3
     assert _error_code(["gamma", "--algebra", "uatl2", "--n", "4",
                         "--r", "-1"]) == 3
+
+
+def test_huge_decimal_exponent_is_invalid_input():
+    # Fraction("1e-100000000") would build 10**100000000
+    for flag in ("--z", "--alpha"):
+        t0 = time.perf_counter()
+        assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
+                            flag, "1e-100000000"]) == 3
+        assert time.perf_counter() - t0 < 1
+    assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
+                        "--z", "1E+4301"]) == 3
+    assert run(["gamma", "--algebra", "uatl", "--n", "3",
+                "--z", "25e-1"]) == 0
+
+
+def test_uatl1_needs_a_unit_full_turn():
+    # the full turn of uaTL1 weighs one, so omega^n = 1
+    assert _error_code(["projector", "--algebra", "uatl1", "--n", "2",
+                        "--verify", "--seed", "1", "--gamma-root", "9"]) == 2
+    code, out, _ = _run_quiet(["projector", "--algebra", "uatl1", "--n", "2",
+                               "--verify", "--seed", "1", "--gamma-root",
+                               "-1", "--r", "1"])
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 def test_dims_explicit_size_must_be_admitted():

@@ -356,6 +356,21 @@ def test_oracle_equality_and_rank():
         assert rank == dim - 1
 
 
+@pytest.mark.parametrize("kind,n", [
+    ("uaTL", 5), ("upTL", 5),
+    ("uaTL1", 6), ("upTL1", 6), ("uaTL2", 6), ("upTL2", 6),
+])
+def test_oracle_past_dense_elimination(kind, n):
+    # oracle sizes beyond criterion 06, which stops the oracle at n <= 5
+    env = sample_env(0, kind, n)
+    v = AlgebraVariant(kind, n)
+    r = sector_of(kind, env, n)
+    q = build_projector_Q(v, n, r, "solver", env)
+    assert projector_oracle(v, n, r, env).equals(q)
+    rank, dim = annihilator_rank(v, n, env)
+    assert rank == dim - 1
+
+
 def test_certificate_bundle():
     env = sample_env(7, "upTL1", 2)
     v = AlgebraVariant("upTL1", 2)
