@@ -21,7 +21,8 @@ from .algebra import (AlgebraVariant, InfiniteAlgebraError,
 from .projectors import (build_projector_Q, gamma_residuals,
                          gamma_solve, gamma_table_conjecture,
                          projector_certificate)
-from .reps import StandardModule, central_matrix, central_eigenvalue
+from .reps import (StandardModule, central_matrix, central_eigenvalue,
+                   is_scalar_matrix)
 from .scalars import (NonGenericParameterError, ParamEnv, sample_env,
                       scalar_to_json, validate_env)
 
@@ -185,8 +186,7 @@ def cmd_central(args) -> int:
         module = StandardModule(n, d, env.z, env)
         mat = central_matrix(n, args.which, module, k)
         val = central_eigenvalue(args.which, module, k)
-        match = all(env.eq(mat[i][j], val if i == j else 0)
-                    for i in range(len(mat)) for j in range(len(mat)))
+        match = is_scalar_matrix(mat, val, env)
         ok = ok and match
         results.append({"d": d, "eigenvalue": scalar_to_json(val),
                         "scalar_action": match})
@@ -296,8 +296,7 @@ def run(argv=None) -> int:
         print(json.dumps({"error": "non-generic parameters",
                           "detail": str(exc)}), file=sys.stderr)
         return EXIT_NONGENERIC
-    except (ValueError, InfiniteAlgebraError, KeyError,
-            ResourceLimitError) as exc:
+    except (ValueError, InfiniteAlgebraError, ResourceLimitError) as exc:
         print(json.dumps({"error": "invalid input", "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_INVALID

@@ -273,12 +273,6 @@ class Diagram:
                        LinkState.from_json(obj["top"]), obj["mid"])
 
 
-def recanonicalize(c: Diagram) -> Diagram:
-    """Rebuild through the validating constructors; the identity on canonical
-    diagrams."""
-    return Diagram(LinkState(c.bottom.nodes), LinkState(c.top.nodes), c.mid)
-
-
 def flip(c: Diagram) -> Diagram:
     """The vertical flip (anti-involution): swap faces, negate the winding."""
     mid = -c.mid if c.d > 0 else c.mid

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
-                      basis_enumerate)
+                      basis_enumerate, is_idempotent)
 from .diagrams import DEFECT, Diagram, LinkState, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, STARRED_KINDS,
                       gamma_hat, qfact, qnum, validate_env)
@@ -658,31 +658,46 @@ def check_e0Z(variant: AlgebraVariant, n: int, k: int, l2: int,
     return lhs - rhs
 
 
+def _first_nonzero(named_elements):
+    """'<name> != 0' for the first (name, element) pair whose element is
+    nonzero, None if there is none."""
+    return next((f"{name} != 0" for name, x in named_elements
+                 if not x.is_zero()), None)
+
+
+def projector_checks(q: AlgebraElement, r, with_oracle: bool) -> dict:
+    """The checks of a projector Q, each mapped to None when it holds and
+    otherwise to its first witness: Q^2 = Q, e_j Q = Q e_j = 0 for every j,
+    Omega Q = Q Omega = omega Q for the affine kinds, and (with_oracle) Q
+    equal to the linear-system oracle."""
+    alg = q.algebra
+    variant, n, env = alg.variant, alg.n, alg.env
+    checks = {"idempotent": None if is_idempotent(q) else "Q^2 != Q"}
+    checks["annihilated"] = _first_nonzero(
+        pair for j in range(n)
+        for pair in ((f"e_{j} Q", alg.e(j) * q), (f"Q e_{j}", q * alg.e(j))))
+    if variant.kind in AFFINE_KINDS:
+        om, w = alg.omega(), env.omega
+        checks["omega_eigen"] = _first_nonzero(
+            (("Omega Q - omega Q", om * q - w * q),
+             ("Q Omega - omega Q", q * om - w * q)))
+    if with_oracle:
+        oracle = projector_oracle(variant, n, r, env)
+        checks["matches_oracle"] = None if oracle.equals(q) else "Q != oracle"
+    return checks
+
+
 def projector_certificate(variant: AlgebraVariant, n: int, r, env: ParamEnv,
                           method: str = "solver",
                           with_oracle: bool = False) -> dict:
     """Build Q, verify it, and bundle the evidence."""
-    alg = Algebra(variant, env)
     tbl = gamma_table(variant, n, r, env, method)
     q = build_projector_Q(variant, n, r, method, env)
-    checks = {}
-    checks["idempotent"] = (q * q).equals(q)
-    ann = True
-    for j in range(n):
-        ej = alg.e(j)
-        ann = ann and (ej * q).is_zero() and (q * ej).is_zero()
-    checks["annihilated"] = ann
-    if variant.kind in AFFINE_KINDS:
-        om = alg.omega()
-        w = env.omega
-        checks["omega_eigen"] = (om * q - w * q).is_zero() and \
-            (q * om - w * q).is_zero()
+    checks = {name: witness is None for name, witness
+              in projector_checks(q, r, with_oracle).items()}
     res = gamma_residuals(tbl)
     checks["recurrence_residual_zero"] = all(
         env.is_zero(v) for v in res.values())
-    if with_oracle:
-        checks["matches_oracle"] = projector_oracle(
-            variant, n, r, env).equals(q)
     return {
         "variant": variant.kind,
         "n": n,

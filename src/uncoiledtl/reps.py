@@ -295,13 +295,12 @@ def central_matrix(n: int, which: str, module: StandardModule, k=None):
     return out
 
 
+def is_scalar_matrix(mat, value, env: ParamEnv) -> bool:
+    """mat == value * identity, with backend-aware equality."""
+    return all(env.eq(x, value if i == j else 0)
+               for i, row in enumerate(mat) for j, x in enumerate(row))
+
+
 def is_scalar_action(a, module: StandardModule, value) -> bool:
     """matrix_of(a) == value * identity, with backend-aware equality."""
-    m = matrix_of(a, module)
-    env = module.env
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            want = value if i == j else 0
-            if not env.eq(x, want):
-                return False
-    return True
+    return is_scalar_matrix(matrix_of(a, module), value, module.env)

@@ -7,9 +7,3 @@ from uncoiledtl.scalars import sample_env
 def env_atl5():
     return sample_env(11, "aTL", 5)
 
-
-def sector_of(kind, env, n):
-    """The r label realized by an exact env's omega."""
-    if kind == "uaTL1":
-        return 0 if env.omega == 1 else n // 2
-    return 0 if kind.startswith("ua") else None

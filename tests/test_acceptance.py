@@ -10,40 +10,34 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import sector_of
 from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
-                                basis_enumerate, dimension_closed_form,
-                                is_idempotent)
+                                dimension_closed_form)
 from uncoiledtl.diagrams import parity
-from uncoiledtl.projectors import (build_projector_Q, build_Z, check_e0Z,
+from uncoiledtl.projectors import (build_projector_Q, build_Z,
                                    gamma_conjecture, gamma_grid,
                                    gamma_residuals, gamma_solve,
-                                   gamma_table_conjecture, projector_oracle,
-                                   wenzl_jones_P)
-from uncoiledtl.reps import (StandardModule, build_central,
-                             central_eigenvalue, central_matrix,
-                             is_scalar_action, matrix_of)
-from uncoiledtl.scalars import qnum, sample_env
-
-UNCOILED = ("uaTL", "upTL", "uaTL1", "upTL1", "uaTL2", "upTL2")
-AFFINE = ("uaTL", "uaTL1", "uaTL2")
-
-
-def legal_sizes(kind, max_n):
-    return range(3 if kind in ("uaTL", "upTL") else 2, max_n + 1, 2)
+                                   gamma_table_conjecture)
+from uncoiledtl.reps import StandardModule, matrix_of
+from uncoiledtl.scalars import AFFINE_KINDS, UNCOILED_KINDS, sample_env
+from uncoiledtl.selfcheck import (check_central, check_dimensions,
+                                  check_e0Z_grids, check_gamma,
+                                  check_projectors, check_quotient_relations,
+                                  check_relations, check_wenzl_jones,
+                                  legal_sizes, sector_of)
 
 
 def report(num, text):
     print(f"[criterion {num:2d}] PASS: {text}")
 
 
+def assert_passed(check):
+    name, passed, detail = check
+    assert passed, f"{name}: {detail}"
+
+
 def test_criterion_01_dimensions():
     t0 = time.time()
-    for kind in UNCOILED:
-        for n in legal_sizes(kind, 10):
-            v = AlgebraVariant(kind, n)
-            assert len(basis_enumerate(v)) == dimension_closed_form(v), \
-                (kind, n)
+    assert_passed(check_dimensions(10))
     spot = {("uaTL", 5): 180, ("upTL", 5): 176, ("upTL1", 4): 53,
             ("uaTL2", 6): 600}
     for (kind, n), want in spot.items():
@@ -55,56 +49,8 @@ def test_criterion_01_dimensions():
 
 def test_criterion_02_defining_and_quotient_relations():
     t0 = time.time()
-    for n in range(3, 9):
-        env = sample_env(0, "aTL", n)
-        alg = Algebra(AlgebraVariant("aTL", n), env)
-        om, omi = alg.omega(), alg.omega(-1)
-        assert (om * omi).equals(alg.one())
-        for j in range(n):
-            ej = alg.e(j)
-            assert (ej * ej).equals(env.beta * ej)
-            for pm in (1, -1):
-                ek = alg.e((j + pm) % n)
-                assert (ej * ek * ej).equals(ej)
-            assert (om * ej * omi).equals(alg.e((j - 1) % n))
-            for i in range(n):
-                if min((i - j) % n, (j - i) % n) > 1:
-                    ei = alg.e(i)
-                    assert (ei * ej).equals(ej * ei)
-        word = alg.one()
-        for j in range(n - 1, 0, -1):
-            word = word * alg.e(j)
-        assert (om * om * alg.e(1)).equals(word)
-    # quotient relations per variant
-    for kind in UNCOILED:
-        for n in legal_sizes(kind, 8):
-            env = sample_env(0, kind, n)
-            alg = Algebra(AlgebraVariant(kind, n), env)
-            if kind.startswith("ua"):
-                target = env.gamma if kind != "uaTL1" else 1
-                assert (alg.omega(n)).equals(target * alg.one())
-            if kind in ("uaTL1", "upTL1", "uaTL2", "upTL2"):
-                E = alg.one()
-                for j in range(0, n, 2):
-                    E = E * alg.e(j)
-                if kind == "uaTL1":
-                    assert (E * alg.omega() * E).equals(env.alpha * E)
-                elif kind == "upTL1":
-                    F = alg.one()
-                    for j in range(1, n, 2):
-                        F = F * alg.e(j)
-                    assert (E * F * E).equals(env.alpha ** 2 * E)
-                else:
-                    assert E.is_zero()
-            if kind.startswith("up"):
-                reps_count = n - 2 if kind == "upTL" else (n - 2) // 2
-                word = alg.e(0)
-                for _ in range(reps_count):
-                    for j in range(n - 1, -1, -1):
-                        word = word * alg.e(j)
-                target = {"upTL": env.gamma ** 2, "upTL1": Fraction(1),
-                          "upTL2": env.gamma}[kind]
-                assert word.equals(target * alg.e(0))
+    assert_passed(check_relations(8, 0))
+    assert_passed(check_quotient_relations(8, 0))
     dt = time.time() - t0
     assert dt < 30, f"relations took {dt:.1f}s"
     report(2, f"defining + quotient relations, 3 <= n <= 8 ({dt:.1f}s)")
@@ -112,36 +58,7 @@ def test_criterion_02_defining_and_quotient_relations():
 
 def test_criterion_03_wenzl_jones():
     t0 = time.time()
-    env = sample_env(0, "pTL", 8)
-    alg = Algebra(AlgebraVariant("pTL", 8), env)
-    for m in range(1, 9):
-        p = wenzl_jones_P(m, alg)
-        assert is_idempotent(p), f"P_{m}^2 != P_{m}"
-        for j in range(1, m):
-            ej = alg.e(j)
-            assert (ej * p).is_zero() and (p * ej).is_zero()
-        if 2 <= m <= 7:
-            em = alg.e(m)
-            want = (-qnum(m + 1, env) / qnum(m, env)) * \
-                (wenzl_jones_P(m - 1, alg) * em)
-            assert (em * p * em).equals(want)
-        if m >= 2:
-            shifted = wenzl_jones_P(m - 1, alg, offset=1)
-            acc = alg.one()
-            for j in range(1, m):
-                word = alg.one()
-                for i in range(1, j + 1):
-                    word = word * alg.e(i)
-                acc = acc + (qnum(m - j, env) / qnum(m, env)) * word
-            assert (shifted * acc).equals(p)
-            plain = wenzl_jones_P(m - 1, alg)
-            acc = alg.one()
-            for j in range(1, m):
-                word = alg.one()
-                for i in range(m - 1, j - 1, -1):
-                    word = word * alg.e(i)
-                acc = acc + (qnum(j, env) / qnum(m, env)) * word
-            assert (plain * acc).equals(p)
+    assert_passed(check_wenzl_jones(8, 0))
     dt = time.time() - t0
     assert dt < 30, f"Wenzl-Jones checks took {dt:.1f}s"
     report(3, f"P_m identities, m <= 8 ({dt:.1f}s)")
@@ -161,23 +78,13 @@ def _float_env_on_circle(seed, n):
 
 def test_criterion_04_and_05_gamma_equivalence_and_residuals():
     t0 = time.time()
-    for kind in UNCOILED:
-        for n in legal_sizes(kind, 14):
-            v = AlgebraVariant(kind, n)
-            for seed in (0, 1, 2):
-                env = sample_env(seed, kind, n)
-                r = sector_of(kind, env, n)
-                ts = gamma_solve(v, n, r, env)
-                tc = gamma_table_conjecture(v, n, r, env)
-                assert not any(x for x in ts.diff(tc).values()), (kind, n)
-                assert not any(x for x in gamma_residuals(ts).values())
-                assert not any(x for x in gamma_residuals(tc).values())
+    assert_passed(check_gamma(14, (0, 1, 2)))
     report(4, f"solver == conjecture exactly, all variants n <= 14, 3 seeds "
               f"({time.time() - t0:.1f}s)")
     report(5, "recurrence residuals exactly zero, both methods, same range")
     # all-r sectors for the affine kinds, complex backend on the unit circle
     t0 = time.time()
-    for kind in AFFINE:
+    for kind in AFFINE_KINDS:
         for n in legal_sizes(kind, 14):
             v = AlgebraVariant(kind, n)
             for seed in (0, 1, 2):
@@ -198,33 +105,9 @@ def test_criterion_04_and_05_gamma_equivalence_and_residuals():
               f"({time.time() - t0:.1f}s)")
 
 
-def _verify_projector(kind, n, seed=0, with_oracle=False):
-    env = sample_env(seed, kind, n)
-    v = AlgebraVariant(kind, n)
-    r = sector_of(kind, env, n)
-    alg = Algebra(v, env)
-    q = build_projector_Q(v, n, r, "solver", env)
-    assert is_idempotent(q), (kind, n, "Q^2")
-    for j in range(n):
-        ej = alg.e(j)
-        assert (ej * q).is_zero() and (q * ej).is_zero(), (kind, n, j)
-    if kind in AFFINE:
-        om = alg.omega()
-        assert (om * q - env.omega * q).is_zero()
-        assert (q * om - env.omega * q).is_zero()
-    if with_oracle:
-        assert projector_oracle(v, n, r, env).equals(q), (kind, n, "oracle")
-    return q
-
-
 def test_criterion_06_projector_verification():
     t0 = time.time()
-    for kind in ("upTL", "upTL1", "upTL2"):
-        for n in legal_sizes(kind, 7):
-            _verify_projector(kind, n, with_oracle=(n <= 5))
-    for kind in AFFINE:
-        for n in legal_sizes(kind, 6):
-            _verify_projector(kind, n, with_oracle=(n <= 5))
+    assert_passed(check_projectors(7, 6, 5, 0))
     # displayed coefficients, reproduced exactly under substitution
     env = sample_env(5, "upTL1", 2)
     b = env.beta
@@ -256,70 +139,13 @@ def test_criterion_06_projector_verification():
 
 def test_criterion_07_e0Z_expansion():
     t0 = time.time()
-    for kind in UNCOILED:
-        for n in legal_sizes(kind, 7):
-            env = sample_env(0, kind, n)
-            v = AlgebraVariant(kind, n)
-            starred = kind in ("uaTL1", "upTL1")
-            step = 1 if kind.startswith("ua") else 2
-            for k in range(1, (n - 1) // 2 + 1):
-                if starred and 2 * k >= n - 2:
-                    continue
-                for l2 in range(0, n - 2 * k, step):
-                    assert check_e0Z(v, n, k, l2, env).is_zero(), \
-                        (kind, n, k, l2)
-            if starred:
-                rows = [(n // 2, 0)]
-                if n >= 4:
-                    rows.append(((n - 2) // 2, 0))
-                    if kind.startswith("ua"):
-                        rows.append(((n - 2) // 2, 1))
-                for (k, l2) in rows:
-                    assert check_e0Z(v, n, k, l2, env).is_zero(), \
-                        (kind, n, k, l2, "starred")
+    assert_passed(check_e0Z_grids(7, 0))
     report(7, f"e_0 Z expansion, all grids n <= 7 ({time.time() - t0:.1f}s)")
 
 
 def test_criterion_08_central_elements():
     t0 = time.time()
-    for n in range(2, 7):
-        env = sample_env(0, "aTL", n)
-        for d in range(n % 2, n + 1, 2):
-            mod = StandardModule(n, d, env.z, env)
-            for which in ("F", "Fbar", "OmegaN", "OmegaNinv"):
-                el = build_central(n, which, env)
-                assert is_scalar_action(el, mod,
-                                        central_eigenvalue(which, mod))
-    for n in range(3, 6):
-        env = sample_env(0, "aTL", n)
-        alg = Algebra(AlgebraVariant("aTL", n), env)
-        g = build_central(n, "G", env)
-        for j in range(n):
-            ej = alg.e(j)
-            assert (g * ej - ej * g).is_zero()
-        for d in range(n % 2, n + 1, 2):
-            mod = StandardModule(n, d, env.z, env)
-            assert is_scalar_action(g, mod, central_eigenvalue("G", mod))
-    # H(k) for every 2nk <= 24 (matrix route; the element route is verified
-    # against it at n = 3, k = 1)
-    env3 = sample_env(0, "aTL", 3)
-    el = build_central(3, "H", env3, 1)
-    for d in (1, 3):
-        mod = StandardModule(3, d, env3.z, env3)
-        assert matrix_of(el, mod) == central_matrix(3, "H", mod, 1)
-    for n in range(2, 7):
-        env = sample_env(0, "aTL", n)
-        step = Fraction(1) if n % 2 else Fraction(1, 2)
-        k = step
-        while 2 * n * k <= 24:
-            for d in range(n % 2, n + 1, 2):
-                mod = StandardModule(n, d, env.z, env)
-                mat = central_matrix(n, "H", mod, k)
-                val = central_eigenvalue("H", mod, k)
-                dim = len(mat)
-                assert all(mat[i][j] == (val if i == j else 0)
-                           for i in range(dim) for j in range(dim)), (n, k, d)
-            k += step
+    assert_passed(check_central(6, 5, 24, 0))
     dt = time.time() - t0
     assert dt < 300, f"central element checks took {dt:.1f}s"
     report(8, f"F, Fbar, Omega^n scalars n <= 6; G central n <= 5; "
@@ -343,18 +169,18 @@ def test_criterion_09_isomorphism_and_module_action():
                 assert all(signs[i] * a[i][k] / signs[k] == b[i][k]
                            for i in range(dim) for k in range(dim)), (n, d, j)
     # projector module action: 1 on the top sector, 0 elsewhere
-    for kind in UNCOILED:
+    for kind in UNCOILED_KINDS:
         for n in legal_sizes(kind, 6):
             env = sample_env(0, kind, n)
             v = AlgebraVariant(kind, n)
             r = sector_of(kind, env, n)
             q = build_projector_Q(v, n, r, "solver", env)
-            ztop = env.omega if kind in AFFINE else Fraction(1)
+            ztop = env.omega if kind in AFFINE_KINDS else Fraction(1)
             top = StandardModule(n, n, ztop, env)
             assert matrix_of(q, top) == [[1]], (kind, n, "top")
             # lower sectors at admissible complex twists
             fenv = env.to_float()
-            if kind in AFFINE:
+            if kind in AFFINE_KINDS:
                 fenv = fenv.with_omega(complex(env.omega), n)
             qf = build_projector_Q(v, n, r, "solver", fenv)
             gam = complex(env.gamma)

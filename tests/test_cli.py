@@ -5,9 +5,12 @@ import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as hst
 
+from uncoiledtl import cli, selfcheck
 from uncoiledtl.cli import run
+from uncoiledtl.projectors import gamma_solve
 
 
 def capture(capsys, argv):
@@ -124,11 +127,32 @@ def test_selfcheck_ok_and_fault_injection(capsys, monkeypatch):
     code, out = capture(capsys, ["selfcheck", "--max-n", "3"])
     assert code == 0
     assert json.loads(out)["passed"] is True
-    monkeypatch.setenv("UTL_FAULT_INJECT", "gamma")
+    corrupted = []
+
+    def corrupt_gamma_solve(variant, n, r, env):
+        tbl = gamma_solve(variant, n, r, env)
+        key = max(tbl.entries)
+        tbl.entries[key] = tbl.entries[key] + 1
+        corrupted.append((variant.kind, n, key))
+        return tbl
+
+    monkeypatch.setattr(selfcheck, "gamma_solve", corrupt_gamma_solve)
     code, out = capture(capsys, ["selfcheck", "--max-n", "3"])
     assert code == 1
     doc = json.loads(out)
     assert not doc["passed"]
+    kind, n, key = corrupted[0]
+    [detail] = [c["detail"] for c in doc["checks"] if not c["passed"]]
+    assert f"{kind} n={n}" in detail and f"(k, l2)={key}" in detail
+
+
+def test_internal_key_error_is_not_invalid_input(monkeypatch):
+    def broken(variant):
+        raise KeyError("an internal lookup")
+
+    monkeypatch.setattr(cli, "dimension_closed_form", broken)
+    with pytest.raises(KeyError):
+        run(["dims", "--algebra", "uatl", "--n", "3"])
 
 
 def test_console_entry_point():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sector_of
 from uncoiledtl.algebra import Algebra, AlgebraVariant
 from uncoiledtl.diagrams import flip
 from uncoiledtl.projectors import (annihilator_rank, build_projector_Q,
@@ -14,6 +13,7 @@ from uncoiledtl.projectors import (annihilator_rank, build_projector_Q,
                                    projector_certificate, projector_oracle,
                                    wenzl_jones_P)
 from uncoiledtl.scalars import gamma_hat, qnum, sample_env
+from uncoiledtl.selfcheck import sector_of
 
 
 # -- P_m ------------------------------------------------------------------
