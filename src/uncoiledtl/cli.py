@@ -19,7 +19,7 @@ from .algebra import (AlgebraVariant, InfiniteAlgebraError,
                       ResourceLimitError, basis_enumerate,
                       dimension_closed_form)
 from .projectors import (build_projector_Q, gamma_residuals,
-                         gamma_solve, gamma_table_conjecture,
+                         gamma_solve, gamma_table, gamma_table_conjecture,
                          projector_certificate)
 from .reps import (StandardModule, central_matrix, central_eigenvalue,
                    is_scalar_matrix)
@@ -165,7 +165,7 @@ def cmd_projector(args) -> int:
                                      method=method, with_oracle=args.oracle)
         _emit(cert, args)
         return EXIT_OK if cert["verified"] else EXIT_VERIFY
-    q = build_projector_Q(variant, args.n, args.r, method, env)
+    q = build_projector_Q(gamma_table(variant, args.n, args.r, env, method))
     doc = {"algebra": args.algebra, "n": args.n, "r": args.r,
            "env": env.to_json(), "projector": q.to_json()}
     _emit(doc, args)

@@ -19,8 +19,8 @@ from . import linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
                       basis_enumerate, is_idempotent)
 from .diagrams import DEFECT, Diagram, LinkState, identity as id_diagram
-from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, STARRED_KINDS,
-                      gamma_hat, qfact, qnum, validate_env)
+from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
+                      gamma_hat, qladder, qnum, validate_env)
 
 
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
@@ -130,46 +130,47 @@ def build_Y(alg: Algebra, k: int, l2: int) -> AlgebraElement:
 
 
 # -- the f coefficients of the expansion --------------------------------------
+#
+# Each takes num, the q-numbers [0], [1], ..., [2n] of a ladder.
 
-def _fD(env, n):
-    return qnum(n - 1, env) * qnum(n, env)
-
-
-def f1(env, n, k):
-    return -(qnum(n - k, env) * qnum(k, env) * qnum(2 * n, env)
-             / (_fD(env, n) * qnum(n, env)))
+def _fD(num, n):
+    return num[n - 1] * num[n]
 
 
-def f2(env, n, k):
-    return qnum(n - k, env) * qnum(k, env) / _fD(env, n)
+def f1(num, n, k):
+    return -(num[n - k] * num[k] * num[2 * n] / (_fD(num, n) * num[n]))
 
 
-def f3a(env, n, k, l2):
-    return qnum(n - k, env) * qnum(n - k - l2 - 1, env) / _fD(env, n)
+def f2(num, n, k):
+    return num[n - k] * num[k] / _fD(num, n)
 
 
-def f3b(env, n, k, l2):
-    return qnum(k + l2, env) * qnum(k + 1, env) / _fD(env, n)
+def f3a(num, n, k, l2):
+    return num[n - k] * num[n - k - l2 - 1] / _fD(num, n)
 
 
-def f4a(env, n, k, l2):
-    return qnum(n - k - 1, env) * qnum(k + l2, env) / _fD(env, n)
+def f3b(num, n, k, l2):
+    return num[k + l2] * num[k + 1] / _fD(num, n)
 
 
-def f4b(env, n, k, l2):
-    return qnum(n - k - l2 + 1, env) * qnum(k, env) / _fD(env, n)
+def f4a(num, n, k, l2):
+    return num[n - k - 1] * num[k + l2] / _fD(num, n)
 
 
-def f5(env, n, k, l2):
-    return qnum(n - k - l2, env) * qnum(k + l2, env) / _fD(env, n)
+def f4b(num, n, k, l2):
+    return num[n - k - l2 + 1] * num[k] / _fD(num, n)
 
 
-def f3(env, n, k, l2):
-    return f3a(env, n, k, l2) + f3b(env, n, k, l2)
+def f5(num, n, k, l2):
+    return num[n - k - l2] * num[k + l2] / _fD(num, n)
 
 
-def f4(env, n, k, l2):
-    return f4a(env, n, k, l2) + f4b(env, n, k, l2)
+def f3(num, n, k, l2):
+    return f3a(num, n, k, l2) + f3b(num, n, k, l2)
+
+
+def f4(num, n, k, l2):
+    return f4a(num, n, k, l2) + f4b(num, n, k, l2)
 
 
 # -- Gamma tables --------------------------------------------------------------
@@ -326,7 +327,7 @@ def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
     return pref * (q ** (n * a) / den_plus - q ** (-n * a) / den_minus)
 
 
-def _row_lower_part(tbl: GammaTable, env: ParamEnv, n: int, k: int, l2: int):
+def _row_lower_part(tbl: GammaTable, num, n: int, k: int, l2: int):
     """Everything in the constraint row (k, l = l2/2) except the layer-k terms.
 
     The delta corrections fold the out-of-window neighbours back into the
@@ -337,44 +338,44 @@ def _row_lower_part(tbl: GammaTable, env: ParamEnv, n: int, k: int, l2: int):
     """
     ev = tbl.eval
     mk2 = n - 2 * k
-    out = f3(env, n, k - 1, l2) * ev(k - 1, l2) \
-        + f4(env, n, k - 1, l2 + 2) * ev(k - 1, l2 + 2)
+    out = f3(num, n, k - 1, l2) * ev(k - 1, l2) \
+        + f4(num, n, k - 1, l2 + 2) * ev(k - 1, l2 + 2)
     if k >= 2:
-        out = out + f5(env, n, k - 2, l2 + 2) * ev(k - 2, l2 + 2)
+        out = out + f5(num, n, k - 2, l2 + 2) * ev(k - 2, l2 + 2)
     if l2 == 0:
-        out = out + f3(env, n, k - 1, mk2) * ev(k - 1, -2)
+        out = out + f3(num, n, k - 1, mk2) * ev(k - 1, -2)
         if k >= 2:
-            out = out + f5(env, n, k - 2, mk2 + 2) * ev(k - 2, -2)
+            out = out + f5(num, n, k - 2, mk2 + 2) * ev(k - 2, -2)
     if l2 == 1:
-        out = out + f3b(env, n, k - 1, mk2 + 1) * ev(k - 1, -1)
+        out = out + f3b(num, n, k - 1, mk2 + 1) * ev(k - 1, -1)
     if mk2 == 1 and l2 == 0:
-        gh = gamma_hat(tbl.variant.kind, env)
-        out = out + gh * f3b(env, n, k - 1, mk2 + 1) * ev(k - 1, -1)
+        gh = gamma_hat(tbl.variant.kind, tbl.env)
+        out = out + gh * f3b(num, n, k - 1, mk2 + 1) * ev(k - 1, -1)
     if l2 == mk2 - 1:
-        out = out + f4a(env, n, k - 1, 1) * ev(k - 1, mk2 + 3)
+        out = out + f4a(num, n, k - 1, 1) * ev(k - 1, mk2 + 3)
     return out
 
 
 def gamma_residuals(tbl: GammaTable) -> dict:
     """Exact residuals of every linear constraint the table must satisfy."""
     variant, n, env = tbl.variant, tbl.n, tbl.env
+    num = qladder(2 * n + 2, env).num
     out = {}
     for k in range(1, (n - 1) // 2 + 1):
         mk2 = n - 2 * k
         for l2 in range(mk2):
-            r = f1(env, n, k) * tbl.eval(k, l2) \
-                + f2(env, n, k) * (tbl.eval(k, l2 - 2) + tbl.eval(k, l2 + 2)) \
-                + _row_lower_part(tbl, env, n, k, l2)
+            r = f1(num, n, k) * tbl.eval(k, l2) \
+                + f2(num, n, k) * (tbl.eval(k, l2 - 2) + tbl.eval(k, l2 + 2)) \
+                + _row_lower_part(tbl, num, n, k, l2)
             out[(k, l2)] = r
     if variant.kind in STARRED_KINDS:
-        half = qnum(n // 2, env)
-        full = qnum(n, env)
-        d = _fD(env, n)
+        half, full = num[n // 2], num[n]
+        d = _fD(num, n)
         r = (env.alpha ** 2 * half ** 2 - full ** 2) / d * tbl.eval(n // 2, 0) \
-            + half ** 2 / d * (qnum(2, env) * tbl.eval((n - 2) // 2, 0)
+            + half ** 2 / d * (num[2] * tbl.eval((n - 2) // 2, 0)
                                + env.alpha * tbl.eval((n - 2) // 2, 1))
         if n >= 4:
-            r = r + f5(env, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
+            r = r + f5(num, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
         out[(n // 2, 0)] = r
     return out
 
@@ -389,14 +390,19 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     tbl = GammaTable(variant, n, r, env)
     kind = variant.kind
     gh = gamma_hat(kind, env)
+    num = qladder(2 * n + 2, env).num
     for (k, l2) in gamma_grid(variant):
         if k == 0:
             tbl.entries[(0, l2)] = gamma_initial(variant, r, env, l2)
     kmax = (n - 1) // 2
     for k in range(1, kmax + 1):
         mk2 = n - 2 * k
-        rows = {l2: _row_lower_part(tbl, env, n, k, l2) for l2 in range(mk2)}
-        inv_f2 = -1 / f2(env, n, k)
+        rows = {l2: _row_lower_part(tbl, num, n, k, l2) for l2 in range(mk2)}
+        inv_f2 = -1 / f2(num, n, k)
+        # the kernel depends on the offset l2' - l2 only: one per offset
+        span = mk2 - 1 if n % 2 else (mk2 - 1) // 2
+        kern = {2 * e: kernel_J(variant, n, k, 2 * e, env)
+                for e in range(-span, span + 1)}
         if n % 2 == 0:
             parities = (0, 1) if kind in AFFINE_KINDS else (0,)
             if kind not in AFFINE_KINDS:
@@ -410,8 +416,7 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
                     acc = 0
                     for l2p in idx:
                         if rows[l2p]:
-                            acc = acc + kernel_J(variant, n, k, l2p - l2,
-                                                 env) * rows[l2p]
+                            acc = acc + kern[l2p - l2] * rows[l2p]
                     tbl.entries[(k, l2)] = inv_f2 * acc
         else:
             # integer presentation: row at half-odd l sits at j = l + m_k
@@ -424,8 +429,7 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
                 acc = 0
                 for jp in range(mk2):
                     if rint[jp]:
-                        acc = acc + kernel_J(variant, n, k, 2 * (jp - j),
-                                             env) * rint[jp]
+                        acc = acc + kern[2 * (jp - j)] * rint[jp]
                 gint.append(inv_f2 * acc)
             if kind == "upTL":
                 for j in range(mk2):
@@ -437,14 +441,13 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
                     else:
                         tbl.entries[(k, l2)] = gh * gint[(l2 + mk2) // 2]
     if kind in STARRED_KINDS:
-        half = qnum(n // 2, env)
-        full = qnum(n, env)
-        d = _fD(env, n)
+        half, full = num[n // 2], num[n]
+        d = _fD(num, n)
         lead = (env.alpha ** 2 * half ** 2 - full ** 2) / d
-        acc = half ** 2 / d * (qnum(2, env) * tbl.eval((n - 2) // 2, 0)
+        acc = half ** 2 / d * (num[2] * tbl.eval((n - 2) // 2, 0)
                                + env.alpha * tbl.eval((n - 2) // 2, 1))
         if n >= 4:
-            acc = acc + f5(env, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
+            acc = acc + f5(num, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
         tbl.entries[(n // 2, 0)] = -acc / lead
     return tbl
 
@@ -456,16 +459,35 @@ def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
     """The closed triple-sum formulas for Gamma_{k, l}."""
     if env is None:
         raise ValueError("an environment is required")
+    return _conjecture_entry(variant, n, k, ell2, r, env,
+                             qladder(2 * n + 2 + abs(ell2), env))
+
+
+def _rising_over_factorial(ladder: QLadder, start: int, count: int) -> list:
+    """[start][start+1]...[start+i-1] / [i]! for 0 <= i < count, as prefix
+    products over the ladder, with [-j] = -[j]."""
+    num, fact = ladder.num, ladder.fact
+    out, prod = [fact[0]], fact[0]
+    for i in range(1, count):
+        j = start + i - 1
+        prod = prod * (num[j] if j >= 0 else -num[-j])
+        out.append(prod / fact[i])
+    return out
+
+
+def _conjecture_entry(variant, n, k, ell2, r, env, ladder: QLadder):
+    """gamma_conjecture with every q-number read from ``ladder``; [2n + 2]
+    covers the grid, [2n + 2 + |ell2|] any ell2."""
     kind = variant.kind
     q = env.q
+    num, fact = ladder.num, ladder.fact
     if k == 0:
         return gamma_initial(variant, r, env, ell2)
     if 2 * k == n and kind in STARRED_KINDS:
         if ell2 != 0:
             raise ValueError("the k = n/2 coefficient only exists at l = 0")
-        half = qnum(n // 2, env)
-        full = qnum(n, env)
-        base = (q - 1 / q) ** (n - 2) * qfact((n - 2) // 2, env) ** 2
+        half, full = num[n // 2], num[n]
+        base = (q - 1 / q) ** (n - 2) * fact[(n - 2) // 2] ** 2
         if kind == "upTL1":
             return -full * half / (base * (env.alpha ** 2 * half ** 2
                                            - full ** 2))
@@ -477,13 +499,11 @@ def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
             return half / (2 * base * (env.alpha * half + full))
         return 0
     mk2 = n - 2 * k
-    pref = 1 / ((q - 1 / q) ** (2 * k - 1) * qnum(k, env)
-                * qfact(k - 1, env) ** 2)
-    from .scalars import qbinom
+    pref = 1 / ((q - 1 / q) ** (2 * k - 1) * num[k] * fact[k - 1] ** 2)
     # One triple sum for every kind.  They differ in the twist of den and
     # the scale of its exponent, den = twist q^(+-scale (n - 2(k - kap))) - 1,
-    # in the exponent of num, q^(+-(base + slope kap + n tau)), and in the
-    # offsets lo, hi of the two q-number products.
+    # in the power q^(+-(base + slope kap + n tau)), and in the offsets lo,
+    # hi of the two q-number products.
     lo, hi = mk2 - ell2, ell2
     base, slope = n * ell2 // 2, 0
     if kind in AFFINE_KINDS:
@@ -498,21 +518,31 @@ def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
             slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
     else:
         raise ValueError(f"no conjecture formula for {kind}")
+    # Term (kap, tau) of the sum is
+    #   (-1)^kap sigma q^(sigma (base + slope kap + n tau)) / den
+    #   * qbinom(k-1, kap) / ([n-k]...[n-k+kap-1])
+    #   * qbinom(kap, tau) [lo]...[lo+kap-tau-1] [hi]...[hi+tau-1].
+    # The last line is [kap]! a[kap - tau] b[tau]; with [kap]! moved into
+    # the line above, all but q^(sigma n tau) a[kap - tau] b[tau] is one
+    # factor per (sigma, kap), lead.
+    a = _rising_over_factorial(ladder, lo, k)
+    b = _rising_over_factorial(ladder, hi, k)
+    coeffs = [[a[kap - tau] * b[tau] for tau in range(kap + 1)]
+              for kap in range(k)]
     total = 0
     for sigma in (1, -1):
+        step = q ** (sigma * n)
+        outer = sigma * fact[k - 1] * fact[n - k - 1]
         for kap in range(k):
             den = twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1
-            for tau in range(kap + 1):
-                num = q ** (sigma * (base + slope * kap + n * tau))
-                term = (-1) ** kap * sigma * num / den \
-                    * qbinom(k - 1, kap, env) * qbinom(kap, tau, env)
-                for j in range(kap - tau):
-                    term = term * qnum(lo + j, env)
-                for j in range(tau):
-                    term = term * qnum(hi + j, env)
-                for j in range(kap):
-                    term = term / qnum(n - k + j, env)
-                total = total + term
+            lead = outer * q ** (sigma * (base + slope * kap)) / (
+                den * fact[n - k - 1 + kap] * fact[k - 1 - kap])
+            # sum over tau of q^(+-n tau) coeffs[kap][tau], by Horner
+            row = coeffs[kap]
+            inner = row[kap]
+            for tau in range(kap - 1, -1, -1):
+                inner = inner * step + row[tau]
+            total = total + (-lead if kap % 2 else lead) * inner
     return pref * total
 
 
@@ -520,8 +550,10 @@ def gamma_table_conjecture(variant: AlgebraVariant, n: int, r=None,
                            env: ParamEnv | None = None) -> GammaTable:
     check_sector(variant, r, env)
     tbl = GammaTable(variant, n, r, env)
+    ladder = qladder(2 * n + 2, env)
     for (k, l2) in gamma_grid(variant):
-        tbl.entries[(k, l2)] = gamma_conjecture(variant, n, k, l2, r, env)
+        tbl.entries[(k, l2)] = _conjecture_entry(variant, n, k, l2, r, env,
+                                                 ladder)
     return tbl
 
 
@@ -535,15 +567,13 @@ def gamma_table(variant, n, r, env, method: str) -> GammaTable:
     raise ValueError(f"unknown method {method!r}")
 
 
-def build_projector_Q(variant: AlgebraVariant, n: int, r=None,
-                      method: str = "solver",
-                      env: ParamEnv | None = None) -> AlgebraElement:
-    """Q = sum Gamma_{k,l} Z_{k,l}; for the affine kinds the k = 0 row is
-    the eigenprojector Pi_{n,r} spread over P_n Omega^j P_n."""
-    alg = Algebra(variant, env)
-    tbl = gamma_table(variant, n, r, env, method)
+def build_projector_Q(tbl: GammaTable) -> AlgebraElement:
+    """Q = sum Gamma_{k,l} Z_{k,l} over the entries of a Gamma table; for
+    the affine kinds the k = 0 row is the eigenprojector Pi_{n,r} spread
+    over P_n Omega^j P_n."""
+    alg = Algebra(tbl.variant, tbl.env)
     out = alg.zero()
-    for (k, l2) in gamma_grid(variant):
+    for (k, l2) in gamma_grid(tbl.variant):
         coeff = tbl.entries[(k, l2)]
         if coeff:
             out = out + coeff * build_Z(alg, k, l2)
@@ -622,8 +652,9 @@ def check_e0Z(variant: AlgebraVariant, n: int, k: int, l2: int,
     starred = variant.kind in STARRED_KINDS
     lhs = alg.e(0) * build_Z(alg, k, l2)
     mk2 = n - 2 * k
-    d = _fD(env, n)
-    half = qnum(n // 2, env)
+    num = qladder(2 * n + 2, env).num
+    d = _fD(num, n)
+    half = num[n // 2]
 
     def X(kk, ll2):
         if 2 * kk > n:
@@ -631,30 +662,30 @@ def check_e0Z(variant: AlgebraVariant, n: int, k: int, l2: int,
         return build_X(alg, kk, ll2)
 
     if starred and 2 * k == n:
-        coeff = (env.alpha ** 2 * half ** 2 - qnum(n, env) ** 2) / d
+        coeff = (env.alpha ** 2 * half ** 2 - num[n] ** 2) / d
         return lhs - coeff * X(n // 2, 0)
     if starred and 2 * k == n - 2:
-        c = f1(env, n, k) + 2 * f2(env, n, k)
+        c = f1(num, n, k) + 2 * f2(num, n, k)
         if l2 == 0:
-            extra = qnum(2, env) * half ** 2 / d
+            extra = num[2] * half ** 2 / d
         elif l2 == 1:
             extra = env.alpha * half ** 2 / d
         else:
             raise ValueError("starred k = (n-2)/2 rows only exist at l2 in {0,1}")
         return lhs - c * X(k, l2) - extra * X(n // 2, 0)
-    rhs = f1(env, n, k) * X(k, l2) \
-        + f2(env, n, k) * (X(k, l2 - 2) + X(k, l2 + 2))
-    c3 = f3b(env, n, k, l2)
+    rhs = f1(num, n, k) * X(k, l2) \
+        + f2(num, n, k) * (X(k, l2 - 2) + X(k, l2 + 2))
+    c3 = f3b(num, n, k, l2)
     if l2 != mk2 - 1:
-        c3 = c3 + f3a(env, n, k, l2)
+        c3 = c3 + f3a(num, n, k, l2)
     rhs = rhs + c3 * X(k + 1, l2)
     if l2 != 0:
-        c4 = f4a(env, n, k, l2)
+        c4 = f4a(num, n, k, l2)
         if l2 != 1:
-            c4 = c4 + f4b(env, n, k, l2)
+            c4 = c4 + f4b(num, n, k, l2)
         rhs = rhs + c4 * X(k + 1, l2 - 2)
     if l2 not in (0, 1, mk2 - 1):
-        rhs = rhs + f5(env, n, k, l2) * X(k + 2, l2 - 2)
+        rhs = rhs + f5(num, n, k, l2) * X(k + 2, l2 - 2)
     return lhs - rhs
 
 
@@ -692,7 +723,7 @@ def projector_certificate(variant: AlgebraVariant, n: int, r, env: ParamEnv,
                           with_oracle: bool = False) -> dict:
     """Build Q, verify it, and bundle the evidence."""
     tbl = gamma_table(variant, n, r, env, method)
-    q = build_projector_Q(variant, n, r, method, env)
+    q = build_projector_Q(tbl)
     checks = {name: witness is None for name, witness
               in projector_checks(q, r, with_oracle).items()}
     res = gamma_residuals(tbl)

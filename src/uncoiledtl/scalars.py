@@ -8,6 +8,11 @@ vanishes there with probability zero, and resampling the seed would expose
 such an accident.  The base parameter is s = q^(1/2), so that the
 half-powers of q appearing in braid faces and eigenvalues stay rational.
 
+The q-arithmetic of one Gamma table comes from one q-number ladder
+(``qladder``): the q-numbers [j] and q-factorials [j]! for 0 <= j <= 2n + 2,
+computed once per table, so that no per-scalar lookup re-hashes the
+parameter point.
+
 A complex-float backend exists solely for the checks that genuinely need
 all n-th roots of unity (splitting a periodic projector into its affine
 sectors); its equality tolerance is 1e-9.
@@ -19,6 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 EXACT = "exact-rational"
 FLOAT = "complex-float"
@@ -122,21 +128,37 @@ def qnum(k: int, env: ParamEnv):
     return _qnum_cached(env.s, k)
 
 
+class QLadder(NamedTuple):
+    """The q-numbers num[j] = [j] and q-factorials fact[j] = [j]! for
+    0 <= j <= top at one parameter point."""
+
+    num: tuple
+    fact: tuple
+
+
+def qladder(top: int, env: ParamEnv) -> QLadder:
+    """[j] and [j]! for 0 <= j <= top: one walk of qnum, with [j]! as a
+    running product starting from [0]! = env.one."""
+    num = tuple(qnum(j, env) for j in range(top + 1))
+    fact = [env.one]
+    for x in num[1:]:
+        fact.append(fact[-1] * x)
+    return QLadder(num, tuple(fact))
+
+
 def qfact(k: int, env: ParamEnv):
     """[k]! = [1][2]...[k]."""
     if k < 0:
         raise ValueError("q-factorial of a negative integer")
-    out = qnum(1, env) if k else Fraction(1)
-    for j in range(2, k + 1):
-        out = out * qnum(j, env)
-    return out
+    return qladder(k, env).fact[k]
 
 
 def qbinom(kappa: int, tau: int, env: ParamEnv):
     """q-binomial [kappa]!/([tau]![kappa-tau]!), for 0 <= tau <= kappa."""
     if not 0 <= tau <= kappa:
         raise ValueError(f"qbinom indices out of range: ({kappa}, {tau})")
-    return qfact(kappa, env) / (qfact(tau, env) * qfact(kappa - tau, env))
+    fact = qladder(kappa, env).fact
+    return fact[kappa] / (fact[tau] * fact[kappa - tau])
 
 
 def gamma_hat(kind: str, env: ParamEnv):

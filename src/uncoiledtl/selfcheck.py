@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import (Algebra, AlgebraVariant, basis_enumerate,
                       dimension_closed_form, is_idempotent)
 from .projectors import (build_projector_Q, check_e0Z, gamma_residuals,
-                         gamma_solve, gamma_table_conjecture,
+                         gamma_solve, gamma_table, gamma_table_conjecture,
                          projector_checks, wenzl_jones_P)
 from .reps import (StandardModule, build_central, central_eigenvalue,
                    central_matrix, is_scalar_action, is_scalar_matrix,
@@ -57,6 +57,9 @@ def check_relations(max_n: int, seed: int):
     def fail(what, n):
         return ("defining-relations", False, f"{what}, n={n}")
 
+    if max_n < 3:
+        return ("defining-relations", True,
+                f"skipped: needs n >= 3, max n is {max_n}")
     for n in range(3, max_n + 1):
         env = sample_env(seed, "aTL", n)
         alg = Algebra(AlgebraVariant("aTL", n), env)
@@ -186,7 +189,7 @@ def check_projectors(periodic_max_n: int, affine_max_n: int,
             v = AlgebraVariant(kind, n)
             env = sample_env(seed, kind, n)
             r = sector_of(kind, env, n)
-            q = build_projector_Q(v, n, r, "solver", env)
+            q = build_projector_Q(gamma_table(v, n, r, env, "solver"))
             checks = projector_checks(q, r, n <= oracle_max_n)
             witness = next((w for w in checks.values() if w), None)
             if witness:

@@ -174,7 +174,7 @@ def test_criterion_09_isomorphism_and_module_action():
             env = sample_env(0, kind, n)
             v = AlgebraVariant(kind, n)
             r = sector_of(kind, env, n)
-            q = build_projector_Q(v, n, r, "solver", env)
+            q = build_projector_Q(gamma_solve(v, n, r, env))
             ztop = env.omega if kind in AFFINE_KINDS else Fraction(1)
             top = StandardModule(n, n, ztop, env)
             assert matrix_of(q, top) == [[1]], (kind, n, "top")
@@ -182,7 +182,7 @@ def test_criterion_09_isomorphism_and_module_action():
             fenv = env.to_float()
             if kind in AFFINE_KINDS:
                 fenv = fenv.with_omega(complex(env.omega), n)
-            qf = build_projector_Q(v, n, r, "solver", fenv)
+            qf = build_projector_Q(gamma_solve(v, n, r, fenv))
             gam = complex(env.gamma)
             for d in range(2 - (n % 2), n - 1, 2):
                 if d == 0:
@@ -224,7 +224,7 @@ def test_criterion_10_binomial_identity_and_sector_sum():
             for r in range(n):
                 wr = w0 * cmath.exp(2j * cmath.pi * r / n)
                 env_r = fenv.with_omega(wr, n)
-                qr = build_projector_Q(av, n, r, "solver", env_r)
+                qr = build_projector_Q(gamma_solve(av, n, r, env_r))
                 total = total + AlgebraElement(alg, qr.terms)
             qn = alg.zero()
             for (k, l2) in gamma_grid(pv):

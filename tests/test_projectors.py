@@ -8,12 +8,14 @@ from uncoiledtl.diagrams import flip
 from uncoiledtl.projectors import (annihilator_rank, build_projector_Q,
                                    build_X, build_Y, build_Z, check_e0Z,
                                    cup_state, gamma_conjecture, gamma_grid,
-                                   gamma_residuals, gamma_solve,
+                                   gamma_initial, gamma_residuals,
+                                   gamma_solve, gamma_table,
                                    gamma_table_conjecture, kernel_J,
                                    projector_certificate, projector_oracle,
                                    wenzl_jones_P)
-from uncoiledtl.scalars import gamma_hat, qnum, sample_env
-from uncoiledtl.selfcheck import sector_of
+from uncoiledtl.scalars import (AFFINE_KINDS, STARRED_KINDS, UNCOILED_KINDS,
+                                gamma_hat, qbinom, qfact, qnum, sample_env)
+from uncoiledtl.selfcheck import legal_sizes, sector_of
 
 
 # -- P_m ------------------------------------------------------------------
@@ -223,6 +225,88 @@ def test_solver_equals_conjecture_and_residuals():
         assert not any(x for x in gamma_residuals(tc).values())
 
 
+def _gamma_conjecture_reference(variant, n, k, ell2, r, env):
+    """The triple sum term by term, with a q-binomial and an inner loop of
+    q-numbers per term: the reference the hoisted gamma_conjecture must
+    reproduce exactly."""
+    kind = variant.kind
+    q = env.q
+    if k == 0:
+        return gamma_initial(variant, r, env, ell2)
+    if 2 * k == n and kind in STARRED_KINDS:
+        half = qnum(n // 2, env)
+        full = qnum(n, env)
+        base = (q - 1 / q) ** (n - 2) * qfact((n - 2) // 2, env) ** 2
+        if kind == "upTL1":
+            return -full * half / (base * (env.alpha ** 2 * half ** 2
+                                           - full ** 2))
+        if r == 0:
+            return -half / (2 * base * (env.alpha * half - full))
+        if r == n // 2:
+            return half / (2 * base * (env.alpha * half + full))
+        return 0
+    mk2 = n - 2 * k
+    pref = 1 / ((q - 1 / q) ** (2 * k - 1) * qnum(k, env)
+                * qfact(k - 1, env) ** 2)
+    lo, hi = mk2 - ell2, ell2
+    base, slope = n * ell2 // 2, 0
+    if kind in AFFINE_KINDS:
+        w = env.omega
+        pref = pref * w ** (-ell2) / n
+        twist, scale, base, slope = w * w, 1, ell2 * k, -ell2
+    elif kind in ("upTL1", "upTL2"):
+        twist, scale = gamma_hat(kind, env), n // 2
+    else:  # upTL
+        twist, scale = env.gamma * env.gamma, n
+        if ell2 >= mk2:
+            slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
+    total = 0
+    for sigma in (1, -1):
+        for kap in range(k):
+            den = twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1
+            for tau in range(kap + 1):
+                num = q ** (sigma * (base + slope * kap + n * tau))
+                term = (-1) ** kap * sigma * num / den \
+                    * qbinom(k - 1, kap, env) * qbinom(kap, tau, env)
+                for j in range(kap - tau):
+                    term = term * qnum(lo + j, env)
+                for j in range(tau):
+                    term = term * qnum(hi + j, env)
+                for j in range(kap):
+                    term = term / qnum(n - k + j, env)
+                total = total + term
+    return pref * total
+
+
+def _conjecture_cases(max_n, seeds):
+    """(variant, r, env) for every uncoiled kind at every legal n <= max_n,
+    with uaTL1 in both of its exact sectors (omega = 1 and omega = -1)."""
+    for kind in UNCOILED_KINDS:
+        for n in legal_sizes(kind, max_n):
+            v = AlgebraVariant(kind, n)
+            for seed in seeds:
+                env = sample_env(seed, kind, n)
+                if kind != "uaTL1":
+                    yield v, sector_of(kind, env, n), env
+                    continue
+                for omega in (Fraction(1), Fraction(-1)):
+                    env = env.with_omega(omega, n)
+                    yield v, sector_of(kind, env, n), env
+
+
+def test_conjecture_matches_term_by_term_reference():
+    cases = 0
+    for v, r, env in _conjecture_cases(16, seeds=(0, 1, 2)):
+        n = v.n
+        table = gamma_table_conjecture(v, n, r, env)
+        for (k, l2) in gamma_grid(v):
+            want = _gamma_conjecture_reference(v, n, k, l2, r, env)
+            assert table.entries[(k, l2)] == want, (v.kind, n, k, l2)
+            assert gamma_conjecture(v, n, k, l2, r, env) == want
+            cases += 1
+    assert cases > 1000
+
+
 def test_gamma_grid_shapes():
     assert gamma_grid(AlgebraVariant("upTL", 3)) == ((0, 0), (0, 2), (0, 4),
                                                      (1, 0))
@@ -335,7 +419,7 @@ def test_projector_properties(kind, n):
     r = sector_of(kind, env, n)
     alg = Algebra(v, env)
     for method in ("solver", "conjecture"):
-        q = build_projector_Q(v, n, r, method, env)
+        q = build_projector_Q(gamma_table(v, n, r, env, method))
         assert (q * q).equals(q)
         for j in range(n):
             assert (alg.e(j) * q).is_zero() and (q * alg.e(j)).is_zero()
@@ -350,7 +434,7 @@ def test_oracle_equality_and_rank():
         env = sample_env(5, kind, n)
         v = AlgebraVariant(kind, n)
         r = sector_of(kind, env, n)
-        q = build_projector_Q(v, n, r, "solver", env)
+        q = build_projector_Q(gamma_solve(v, n, r, env))
         assert projector_oracle(v, n, r, env).equals(q)
         rank, dim = annihilator_rank(v, n, env)
         assert rank == dim - 1
@@ -365,7 +449,7 @@ def test_oracle_past_dense_elimination(kind, n):
     env = sample_env(0, kind, n)
     v = AlgebraVariant(kind, n)
     r = sector_of(kind, env, n)
-    q = build_projector_Q(v, n, r, "solver", env)
+    q = build_projector_Q(gamma_solve(v, n, r, env))
     assert projector_oracle(v, n, r, env).equals(q)
     rank, dim = annihilator_rank(v, n, env)
     assert rank == dim - 1
@@ -386,7 +470,7 @@ def test_q_module_action_small():
     kind, n = "uaTL", 3
     env = sample_env(5, kind, n)
     v = AlgebraVariant(kind, n)
-    q = build_projector_Q(v, n, 0, "solver", env)
+    q = build_projector_Q(gamma_solve(v, n, 0, env))
     top = StandardModule(n, n, env.omega, env)
     assert matrix_of(q, top) == [[1]]
     lower = StandardModule(n, 1, env.omega ** n, env)  # z = gamma: admissible

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from uncoiledtl.scalars import (EXACT, NonGenericParameterError, ParamEnv,
-                                qbinom, qnum, qnum_at, sample_env,
+                                qbinom, qfact, qnum, qnum_at, sample_env,
                                 scalar_from_json, scalar_to_json, validate_env)
 
 
@@ -37,6 +37,27 @@ def test_qbinom_edges_and_symmetry():
         qbinom(3, 4, env)
     with pytest.raises(ValueError):
         qbinom(3, -1, env)
+
+
+def test_qfact_zero_has_the_backend_type():
+    env = sample_env(2, "aTL", 4)
+    for e in (env, env.to_float()):
+        assert qfact(0, e) == e.one
+        assert type(qfact(0, e)) is type(e.one)
+
+
+def test_ladder_lookups_match_plain_qnum_products():
+    # qfact and qbinom read the ladder; rebuild them from qnum alone
+    n = 16
+    for seed in range(3):
+        env = sample_env(seed, "upTL", n)
+        prod = lambda a, b: math.prod((qnum(j, env) for j in range(a, b + 1)),
+                                      start=Fraction(1))
+        for kappa in range(2 * n + 1):
+            assert qfact(kappa, env) == prod(1, kappa)
+            for tau in range(kappa + 1):
+                assert qbinom(kappa, tau, env) == prod(1, kappa) / (
+                    prod(1, tau) * prod(1, kappa - tau))
 
 
 def test_qbinom_classical_limit():

@@ -53,8 +53,8 @@ CASES = {
         _bumped_conjecture, "(k, l2)=(1, 0), upTL2 n=4 seed=0"),
     "projectors": (
         selfcheck.check_projectors, (3, 2, 3, 0), "build_projector_Q",
-        _plus(lambda v, n, r, method, env:
-              (v.kind == "upTL1") * Fraction(1, 3) * Algebra(v, env).e(0)),
+        _plus(lambda tbl: (tbl.variant.kind == "upTL1")
+              * Fraction(1, 3) * Algebra(tbl.variant, tbl.env).e(0)),
         "Q^2 != Q, upTL1 n=2"),
     "e0Z-expansion": (
         selfcheck.check_e0Z_grids, (4, 0), "check_e0Z",
@@ -92,3 +92,11 @@ def test_projector_witness_names_the_generator_and_its_side():
     # e_0 (1 - e_1 e_0) = e_0 - e_0 e_1 e_0 = 0, but (1 - e_1 e_0) e_0 != 0
     assert projector_checks(alg.one() - alg.e(1) * alg.e(0), None, False) == \
         {"idempotent": None, "annihilated": "Q e_0 != 0"}
+
+
+def test_relations_below_their_size_are_reported_skipped():
+    # aTL's defining relations start at n = 3; below that nothing is checked
+    name, passed, detail = selfcheck.check_relations(2, 0)
+    assert (name, passed) == ("defining-relations", True)
+    assert detail.startswith("skipped") and "n >= 3" in detail, detail
+    assert "skipped" not in selfcheck.check_relations(3, 0)[2]
