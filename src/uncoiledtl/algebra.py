@@ -284,26 +284,18 @@ class AlgebraElement:
 
 
 def scaled_to_integers(a: AlgebraElement):
-    """(scale * a, scale) with integer coefficients, for cheap idempotency
-    checks: a*a == a is equivalent to x*x == scale*x for x = scale*a, and
-    plain int arithmetic skips the gcd normalization of Fraction."""
-    scale = 1
-    for c in a.terms.values():
-        if not isinstance(c, Fraction):
-            return a, Fraction(1)
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    terms = {d: int(c * scale) for d, c in a.terms.items()}
-    return AlgebraElement(a.algebra, terms), Fraction(scale)
+    """(scale * a, scale) for the least positive int scale that clears the
+    denominators of a's rational (int or Fraction) coefficients, so that
+    the scaled element has int coefficients."""
+    scale = math.lcm(*{c.denominator for c in a.terms.values()})
+    terms = {d: c.numerator * (scale // c.denominator)
+             for d, c in a.terms.items()}
+    return AlgebraElement(a.algebra, terms), scale
 
 
 def is_idempotent(a: AlgebraElement) -> bool:
-    """a*a == a, computed over integer coefficients when possible."""
-    if a.algebra.env.backend != EXACT:
-        return (a * a).equals(a)
-    x, scale = scaled_to_integers(a)
-    lhs = x * x
-    rhs = x.scaled(int(scale)) if scale.denominator == 1 else scale * x
-    return lhs.terms == rhs.terms
+    """a*a == a (exact, or within the float backend's tolerance)."""
+    return (a * a).equals(a)
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -314,12 +306,22 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     blocks: the topology of d1 * d2 is fixed by (d1.top, d2.bottom), so each
     interface is traced once, each term's outer face once per interface,
     and a pair of terms only adds c1 * c2 under an int key packing (beta
-    exponent, new bottom, new top, mid).  Powers of beta and the reduction
-    are applied once per key at the end.
+    exponent, new bottom, new top, mid).
+
+    On the exact backend both factors are first scaled to int coefficients
+    (``scaled_to_integers``, scales sa and sb), so a pair of terms costs one
+    int multiply and add, not a Fraction normalization.  Each key's int sum
+    is divided by sa * sb once; then the reduction scalar and the power of
+    beta are applied once per key.
     """
     a._check(b)
     alg = a.algebra
     variant, env = alg.variant, alg.env
+    exact = env.backend == EXACT
+    if exact:
+        a, sa = scaled_to_integers(a)
+        b, sb = scaled_to_integers(b)
+        den = sa * sb
     cap = _max_terms()
     by_top, by_bottom = {}, {}
     for dia, c in a.terms.items():
@@ -387,6 +389,8 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     for k, val in acc.items():
         if not val:
             continue
+        if exact:
+            val = Fraction(val, den)
         k, m = divmod(k, width)
         k, ti = divmod(k, nt)
         beta_exp, bi = divmod(k, nb)

@@ -568,16 +568,20 @@ def gamma_table(variant, n, r, env, method: str) -> GammaTable:
 
 
 def build_projector_Q(tbl: GammaTable) -> AlgebraElement:
-    """Q = sum Gamma_{k,l} Z_{k,l} over the entries of a Gamma table; for
-    the affine kinds the k = 0 row is the eigenprojector Pi_{n,r} spread
-    over P_n Omega^j P_n."""
+    """Q = P_n (sum Gamma_{k,l} c_{k,l}) P_n over the entries of a Gamma
+    table, with c_{k,l} the cup diagram of build_Z; by linearity this is
+    the paper's sum Gamma_{k,l} Z_{k,l}, in two products instead of one
+    sandwich per entry.  For the affine kinds the k = 0 row is the
+    eigenprojector Pi_{n,r} spread over P_n Omega^j P_n."""
     alg = Algebra(tbl.variant, tbl.env)
-    out = alg.zero()
+    n = alg.n
+    mid = alg.zero()
     for (k, l2) in gamma_grid(tbl.variant):
         coeff = tbl.entries[(k, l2)]
         if coeff:
-            out = out + coeff * build_Z(alg, k, l2)
-    return out
+            mid = mid + alg.from_diagram(cup_diagram(n, k, l2), coeff)
+    p = wenzl_jones_P(n, alg)
+    return p * mid * p
 
 
 def _annihilator_rows(alg: Algebra, basis) -> list:

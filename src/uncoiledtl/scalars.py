@@ -57,8 +57,17 @@ class ParamEnv:
     def __post_init__(self):
         if self.backend not in (EXACT, FLOAT):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == EXACT and self.s in (0, 1, -1):
-            raise NonGenericParameterError("s must avoid {0, 1, -1}")
+        if self.backend == EXACT:
+            # a plain int would make 1 ** -2 a float downstream
+            for name in ("s", "alpha", "gamma", "omega", "z"):
+                x = getattr(self, name)
+                if isinstance(x, int):
+                    object.__setattr__(self, name, Fraction(x))
+                elif x is not None and not isinstance(x, Fraction):
+                    raise ValueError(
+                        f"exact backend needs rational {name}, got {x!r}")
+            if self.s in (0, 1, -1):
+                raise NonGenericParameterError("s must avoid {0, 1, -1}")
 
     @property
     def one(self):

@@ -268,6 +268,8 @@ def check_central(max_n: int, g_max_n: int, h_max_2nk: int, seed: int):
 
 
 def run_selfcheck(max_n: int = 4, seed: int = 0):
+    if max_n < 2:  # no uncoiled kind exists below n = 2
+        raise ValueError(f"selfcheck needs max n >= 2, got {max_n}")
     small, central_n = min(max_n, 5), min(max_n, 4)
     checks = (
         (check_dimensions, (max_n,)),

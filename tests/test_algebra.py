@@ -205,6 +205,30 @@ def test_mul_matches_pairwise_reference(kind, seed, float_backend, data):
         assert got.terms == want.terms
 
 
+def test_mul_integer_accumulation_edge_cases():
+    # coprime denominators, int and Fraction coefficients side by side, and
+    # two pairs of terms that meet under one key and cancel there
+    v = AlgebraVariant("uaTL", 3)
+    alg = Algebra(v, sample_env(1, "uaTL", 3))
+    basis = basis_enumerate(v)
+    x, y, z = next((x, y, z) for x in basis for y in basis if x != y
+                   for z in basis
+                   if multiply_raw(x, z)[:2] == multiply_raw(y, z)[:2])
+    w = next(w for w in basis
+             if multiply_raw(w, z)[0] != multiply_raw(x, z)[0])
+    a = AlgebraElement(alg, {x: Fraction(3, 7), y: Fraction(-3, 7), w: 2})
+    b = AlgebraElement(alg, {z: Fraction(5, 11)})
+    got = a * b
+    assert got.terms == _pairwise_product(a, b).terms
+    _, cancelled = reduce(multiply_raw(x, z)[0], v, alg.env)
+    assert cancelled not in got.terms and got.terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+    b = AlgebraElement(alg, {z: Fraction(5, 11), basis[-1]: 4,
+                             basis[1]: Fraction(-2, 13)})
+    for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
+        assert (lhs * rhs).terms == _pairwise_product(lhs, rhs).terms
+
+
 # -- bases and dimensions -----------------------------------------------------
 
 def test_basis_enumerate_is_in_sort_key_order():

@@ -146,6 +146,14 @@ def test_selfcheck_ok_and_fault_injection(capsys, monkeypatch):
     assert f"{kind} n={n}" in detail and f"(k, l2)={key}" in detail
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-2"])
+def test_selfcheck_below_the_smallest_size_is_invalid(capsys, max_n):
+    # below n = 2 every uncoiled check would pass over an empty range
+    assert run(["selfcheck", "--max-n", max_n]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "invalid input"
+
+
 def test_internal_key_error_is_not_invalid_input(monkeypatch):
     def broken(variant):
         raise KeyError("an internal lookup")

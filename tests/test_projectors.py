@@ -327,6 +327,32 @@ def test_sector_label_consistency():
         gamma_table_conjecture(v, 4, 3, env)
 
 
+def test_sandwich_Q_matches_the_sum_of_Z():
+    # Q = P_n (sum Gamma c) P_n equals the paper's sum Gamma_{k,l} Z_{k,l}
+    cases = 0
+    for v, r, env in _conjecture_cases(5, seeds=(0, 1)):
+        alg = Algebra(v, env)
+        for method in ("solver", "conjecture"):
+            tbl = gamma_table(v, v.n, r, env, method)
+            want = alg.zero()
+            for (k, l2), coeff in tbl.entries.items():
+                if coeff:  # periodic Z_{0,l} with l != 0 does not exist
+                    want = want + coeff * build_Z(alg, k, l2)
+            assert build_projector_Q(tbl).terms == want.terms, \
+                (v.kind, v.n, r, method)
+            cases += 1
+    assert cases == 2 * 2 * 14  # 12 kind/size points, uaTL1's twice
+
+
+def test_uatl1_int_omega_gives_an_exact_verified_projector():
+    # a plain int omega is taken as a Fraction: 1 ** -2 would be a float
+    v = AlgebraVariant("uaTL1", 4)
+    env = sample_env(3, "uaTL1", 4).with_omega(1, 4)
+    tbl = gamma_solve(v, 4, 0, env)
+    assert all(type(x) is Fraction for x in tbl.entries.values())
+    assert projector_certificate(v, 4, 0, env)["verified"]
+
+
 def test_gamma_table_serialization():
     env = sample_env(5, "upTL", 3)
     t = gamma_solve(AlgebraVariant("upTL", 3), 3, None, env)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,15 @@ def test_validate_env_rejects_bad_points():
     bad = ParamEnv(EXACT, env.s, env.alpha, Fraction(2), env.omega, env.z, 0)
     with pytest.raises(NonGenericParameterError):
         validate_env(bad, "uaTL", 3)  # gamma != omega^n
+
+
+def test_exact_env_takes_ints_as_fractions_and_refuses_floats():
+    env = sample_env(0, "uaTL", 3)
+    two = replace(env, z=2)
+    assert type(two.z) is Fraction and two == replace(env, z=Fraction(2))
+    for bad in (0.5, complex(2)):
+        with pytest.raises(ValueError):
+            replace(env, z=bad)
 
 
 def test_scalar_serialization_roundtrip():
