@@ -7,8 +7,8 @@ from .diagrams import (Diagram, LinkState, e, flip, identity, link_states,
                        multiply_raw, omega, omega_inv, parity)
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
                       InfiniteAlgebraError, ResourceLimitError,
-                      basis_enumerate, dimension_closed_form, mul,
-                      psi_bilinear, reduce)
+                      basis_dimension, basis_enumerate,
+                      dimension_closed_form, mul, psi_bilinear, reduce)
 from .reps import (StandardModule, act, build_central, central_eigenvalue,
                    matrix_of)
 from .projectors import (GammaTable, build_projector_Q, build_Z, check_e0Z,

@@ -418,14 +418,15 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 # -- bases and dimensions -----------------------------------------------------
 
-def _middle_exponents(variant: AlgebraVariant, d: int, b: LinkState,
-                      t: LinkState):
+def _middle_exponents(variant: AlgebraVariant, d: int, sigma: int):
+    """The middle exponents of the sector d for a bottom and top of
+    parity sigma = sigma_bt(bottom, top)."""
     kind, n = variant.kind, variant.n
     if d == 0:
         if kind == "uaTL1":
             return (0,)
         if kind == "upTL1":
-            return (sigma_bt(b, t),)
+            return (sigma,)
         if kind == "TL":
             return (0,)
         raise AssertionError("d = 0 reached for a kind without that sector")
@@ -435,32 +436,41 @@ def _middle_exponents(variant: AlgebraVariant, d: int, b: LinkState,
         return (0,)
     if kind in AFFINE_KINDS:
         return tuple(range(d))
-    s = sigma_bt(b, t)
     if kind == "upTL":
-        return tuple(s + 2 * r for r in range(d))
-    return tuple(s + 2 * r for r in range(d // 2))  # upTL1, upTL2
+        return tuple(sigma + 2 * r for r in range(d))
+    return tuple(sigma + 2 * r for r in range(d // 2))  # upTL1, upTL2
 
 
-def basis_enumerate(variant: AlgebraVariant):
-    """The sandwich basis S_d(...) of an uncoiled variant (or of TL),
-    ordered by d descending, then bottom, top, mid.
-
-    That is Diagram.sort_key order, produced by the loops themselves:
-    defect_sectors descends, link_states is sorted, and the middle
-    exponents ascend."""
+def _sandwich_triples(variant: AlgebraVariant):
+    """(bottom, top, middle exponents) of the sandwich basis, in
+    Diagram.sort_key order: defect_sectors descends, link_states is sorted,
+    and the middle exponents ascend."""
     if variant.kind in ("aTL", "pTL"):
         raise InfiniteAlgebraError(f"{variant.kind} is infinite-dimensional")
     n = variant.n
-    out = []
     for d in variant.defect_sectors():
         states = link_states(n, d)
         if variant.kind == "TL":
             states = tuple(v for v in states if v.crossing_count() == 0)
+        mids = (_middle_exponents(variant, d, 0),
+                _middle_exponents(variant, d, 1))
         for b in states:
             for t in states:
-                for m in _middle_exponents(variant, d, b, t):
-                    out.append(Diagram(b, t, m))
-    return tuple(out)
+                yield b, t, mids[sigma_bt(b, t)]
+
+
+def basis_enumerate(variant: AlgebraVariant):
+    """The sandwich basis S_d(...) of an uncoiled variant (or of TL),
+    ordered by d descending, then bottom, top, mid (Diagram.sort_key)."""
+    return tuple(Diagram(b, t, m)
+                 for b, t, mids in _sandwich_triples(variant)
+                 for m in mids)
+
+
+def basis_dimension(variant: AlgebraVariant) -> int:
+    """len(basis_enumerate(variant)), counted over the same sandwich
+    triples without building a diagram."""
+    return sum(len(mids) for _, _, mids in _sandwich_triples(variant))
 
 
 def dimension_closed_form(variant: AlgebraVariant) -> int:

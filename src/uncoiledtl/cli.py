@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import selfcheck as selfcheck_mod
 from .algebra import (AlgebraVariant, InfiniteAlgebraError,
-                      ResourceLimitError, basis_enumerate,
-                      dimension_closed_form)
+                      ResourceLimitError, basis_dimension,
+                      basis_enumerate, dimension_closed_form)
 from .projectors import (build_projector_Q, gamma_residuals,
                          gamma_solve, gamma_table, gamma_table_conjecture,
                          projector_certificate)
@@ -101,11 +101,13 @@ def cmd_dims(args) -> int:
         closed = dimension_closed_form(variant)
         row = {"n": n, "closed_form": closed}
         if args.enumerate:
-            enum = len(basis_enumerate(variant))
+            enum = basis_dimension(variant)
             row["enumerated"] = enum
             row["match"] = enum == closed
             ok = ok and row["match"]
         out["results"].append(row)
+    if not out["results"]:  # an empty sweep would pass vacuously
+        raise ValueError(f"{kind} admits no size 1 <= n <= {args.max_n}")
     _emit(out, args)
     return EXIT_OK if ok else EXIT_VERIFY
 

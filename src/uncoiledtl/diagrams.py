@@ -223,20 +223,20 @@ class Diagram:
     __slots__ = ("n", "bottom", "top", "mid", "even", "_hash")
 
     def __init__(self, bottom: LinkState, top: LinkState, mid: int):
-        if bottom.n != top.n:
+        n = bottom.n
+        if n != top.n:
             raise ValueError("bottom/top size mismatch")
-        if bottom.d != top.d:
+        d = len(bottom.defects)
+        if d != len(top.defects):
             raise ValueError("bottom/top defect count mismatch")
-        if bottom.d == 0 and mid < 0:
+        if d == 0 and mid < 0:
             raise ValueError("loop count must be nonnegative")
-        object.__setattr__(self, "n", bottom.n)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(
-            self, "even",
-            (bottom.n_crossing + top.n_crossing + mid) % 2 == 0)
-        object.__setattr__(self, "_hash", hash((bottom, top, mid)))
+        self.n = n
+        self.bottom = bottom
+        self.top = top
+        self.mid = mid
+        self.even = (bottom.n_crossing + top.n_crossing + mid) % 2 == 0
+        self._hash = hash((bottom, top, mid))
 
     @property
     def d(self) -> int:

@@ -4,6 +4,8 @@ elements F, F-bar, G, H_k with their predicted eigenvalues."""
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -260,39 +262,43 @@ def central_eigenvalue(which: str, module: StandardModule, k=None):
 def central_matrix(n: int, which: str, module: StandardModule, k=None):
     """The matrix of a central element on a standard module.
 
-    For H(k) the Chebyshev recurrence runs directly on matrix_of(F): the
-    action map is linear and multiplicative (the representation property,
-    itself part of the verification suite), so this equals the matrix of
-    the element-level recurrence while staying tractable at 2nk = 24.
+    For H(k) the Chebyshev recurrence runs on matrix_of(F) rather than on
+    the element: the action map is linear and multiplicative (the
+    representation property, itself part of the verification suite), so
+    this equals the matrix of the element-level recurrence while staying
+    tractable at 2nk = 24.  The recurrence runs on integers: with
+    matrix_of(F) = A / D for an int matrix A and the least common
+    denominator D of its entries, B_j = D^j U_j(F) obeys
+    B_j = A B_{j-1} - D^2 B_{j-2} from B_0 = 2I and B_1 = A, and
+    2 T_m(F/2) = B_m / D^m is divided out once at the end.  The entries of
+    matrix_of(F) must be rational (the exact backend).
     """
     env = module.env
     if which != "H":
         return matrix_of(build_central(n, which, env), module)
     m = _chebyshev_degree(n, k)
-    k = Fraction(k)
     fmat = matrix_of(braid_transfer(n, env), module)
     dim = len(fmat)
-    two_id = [[(2 if i == j else 0) for j in range(dim)] for i in range(dim)]
-
-    def matmul(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(dim))
-                 for j in range(dim)] for i in range(dim)]
-
-    def matsub(a, b):
-        return [[a[i][j] - b[i][j] for j in range(dim)] for i in range(dim)]
-
-    prev, cur = two_id, fmat
+    den = math.lcm(*(x.denominator for row in fmat for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in fmat]
+    den2 = den * den
+    prev = [[(2 if i == j else 0) for j in range(dim)] for i in range(dim)]
+    cur = a if m else prev
     for _ in range(2, m + 1):
-        prev, cur = cur, matsub(matmul(fmat, cur), prev)
-    if m == 0:
-        cur = two_id
-    n2k = int(n * n * k)
-    q = env.q
-    omat = matrix_of(Algebra(AlgebraVariant("aTL", n), env).omega(m), module)
-    oinv = matrix_of(Algebra(AlgebraVariant("aTL", n), env).omega(-m), module)
-    out = [[cur[i][j] - q ** n2k * omat[i][j] - q ** (-n2k) * oinv[i][j]
-            for j in range(dim)] for i in range(dim)]
-    return out
+        cols = list(zip(*cur))
+        prev, cur = cur, [
+            [sum(map(operator.mul, row, col)) - den2 * p
+             for col, p in zip(cols, prow)]
+            for row, prow in zip(a, prev)]
+    scale = den ** m
+    n2k = int(n * n * Fraction(k))
+    alg = Algebra(AlgebraVariant("aTL", n), env)
+    omat = matrix_of(alg.omega(m), module)
+    oinv = matrix_of(alg.omega(-m), module)
+    qp, qm = env.q ** n2k, env.q ** (-n2k)
+    return [[Fraction(c, scale) - qp * o - qm * oi
+             for c, o, oi in zip(crow, orow, oirow)]
+            for crow, orow, oirow in zip(cur, omat, oinv)]
 
 
 def is_scalar_matrix(mat, value, env: ParamEnv) -> bool:

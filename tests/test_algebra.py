@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as hst
 
 from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
                                 InfiniteAlgebraError, ResourceLimitError,
-                                basis_enumerate, dimension_closed_form,
-                                psi_bilinear, reduce)
+                                basis_dimension, basis_enumerate,
+                                dimension_closed_form, psi_bilinear, reduce)
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, e, identity,
                                  link_states, multiply_raw, omega)
 from uncoiledtl.scalars import ALL_KINDS, sample_env
@@ -245,6 +245,17 @@ def test_basis_enumerate_is_in_sort_key_order():
                 (kind, n)
 
 
+def test_basis_dimension_counts_the_enumerated_basis():
+    # `utl dims --enumerate` counts without building the diagrams
+    for kind in ("TL", "uaTL", "upTL", "uaTL1", "upTL1", "uaTL2", "upTL2"):
+        for n in range(1, 9):
+            try:
+                v = AlgebraVariant(kind, n)
+            except ValueError:
+                continue  # wrong parity for this kind
+            assert basis_dimension(v) == len(basis_enumerate(v)), (kind, n)
+
+
 def test_basis_examples():
     assert len(basis_enumerate(AlgebraVariant("uaTL", 3))) == 12
     assert len(basis_enumerate(AlgebraVariant("upTL", 3))) == 10
@@ -262,6 +273,8 @@ def test_infinite_variants_refused():
     for kind in ("aTL", "pTL"):
         with pytest.raises(InfiniteAlgebraError):
             basis_enumerate(AlgebraVariant(kind, 4))
+        with pytest.raises(InfiniteAlgebraError):
+            basis_dimension(AlgebraVariant(kind, 4))
         with pytest.raises(InfiniteAlgebraError):
             dimension_closed_form(AlgebraVariant(kind, 4))
 

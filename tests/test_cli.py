@@ -38,6 +38,17 @@ def test_dims_sweep(capsys):
     assert all(r["match"] for r in doc["results"])
 
 
+@pytest.mark.parametrize("algebra, max_n",
+                         [("uatl", "0"), ("uatl", "-3"), ("uptl1", "1")])
+def test_dims_sweep_below_the_smallest_size_is_invalid(capsys, algebra,
+                                                       max_n):
+    # an empty sweep would print "results": [] and pass
+    assert run(["dims", "--algebra", algebra, "--enumerate",
+                "--max-n", max_n]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "invalid input"
+
+
 def test_dims_infinite_algebra_invalid(capsys):
     code = run(["dims", "--algebra", "atl", "--n", "4"])
     assert code == 3

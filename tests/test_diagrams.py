@@ -89,6 +89,18 @@ def test_generators():
         e(4, 4)
 
 
+def test_diagram_rejects_mismatched_faces():
+    two = st((1, False), (0, False), D, D)
+    with pytest.raises(ValueError, match="size mismatch"):
+        Diagram(two, all_defect(3), 0)
+    with pytest.raises(ValueError, match="defect count mismatch"):
+        Diagram(two, all_defect(4), 0)
+    cups = st((1, False), (0, False), (3, False), (2, False))
+    with pytest.raises(ValueError, match="loop count"):
+        Diagram(cups, cups, -1)
+    assert Diagram(two, two, -1).d == 2  # a negative winding is fine
+
+
 def test_omega_inverse_product():
     c, be, nc = multiply_raw(omega(4), omega_inv(4))
     assert c == identity(4) and be == 0 and nc == 0

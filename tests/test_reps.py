@@ -139,12 +139,55 @@ def test_g_central_in_ptl():
 
 def test_h_element_matches_matrix_route():
     # element-level Chebyshev recurrence agrees with the matrix recurrence
-    env = sample_env(7, "aTL", 3)
-    el = build_central(3, "H", env, 1)
-    for d in (1, 3):
-        m = StandardModule(3, d, env.z, env)
-        assert matrix_of(el, m) == central_matrix(3, "H", m, 1)
-        assert is_scalar_action(el, m, central_eigenvalue("H", m, 1))
+    for n, k in ((3, 1), (4, Fraction(1, 2))):
+        env = sample_env(7, "aTL", n)
+        el = build_central(n, "H", env, k)
+        for d in range(n % 2, n + 1, 2):
+            m = StandardModule(n, d, env.z, env)
+            assert matrix_of(el, m) == central_matrix(n, "H", m, k), (n, d)
+            assert is_scalar_action(el, m, central_eigenvalue("H", m, k))
+
+
+def _central_matrix_h_reference(n, module, k):
+    """H(k) on a module by the Chebyshev recurrence on Fraction matrices:
+    U_j = F U_{j-1} - U_{j-2} from U_0 = 2I and U_1 = F."""
+    env = module.env
+    m = int(2 * n * Fraction(k))
+    fmat = matrix_of(braid_transfer(n, env), module)
+    dim = len(fmat)
+    two_id = [[(2 if i == j else 0) for j in range(dim)] for i in range(dim)]
+
+    def matmul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(dim))
+                 for j in range(dim)] for i in range(dim)]
+
+    prev, cur = two_id, fmat
+    for _ in range(2, m + 1):
+        prev, cur = cur, [[x - y for x, y in zip(r1, r2)]
+                          for r1, r2 in zip(matmul(fmat, cur), prev)]
+    if m == 0:
+        cur = two_id
+    n2k = int(n * n * Fraction(k))
+    q = env.q
+    alg = Algebra(AlgebraVariant("aTL", n), env)
+    omat = matrix_of(alg.omega(m), module)
+    oinv = matrix_of(alg.omega(-m), module)
+    return [[cur[i][j] - q ** n2k * omat[i][j] - q ** (-n2k) * oinv[i][j]
+             for j in range(dim)] for i in range(dim)]
+
+
+def test_h_integer_recurrence_matches_fraction_reference():
+    # every d and every legal k with 2nk <= 24, k = 0 included
+    for n in range(2, 7):
+        env = sample_env(5, "aTL", n)
+        step = Fraction(1) if n % 2 else Fraction(1, 2)
+        for d in range(n % 2, n + 1, 2):
+            mod = StandardModule(n, d, env.z, env)
+            k = Fraction(0)
+            while 2 * n * k <= 24:
+                assert central_matrix(n, "H", mod, k) == \
+                    _central_matrix_h_reference(n, mod, k), (n, d, k)
+                k += step
 
 
 def test_h_parity_and_caps():
