@@ -79,13 +79,25 @@ class AlgebraVariant:
 def _reduce_mid(kind: str, env: ParamEnv, d: int, mid: int):
     """Fold a middle exponent into its variant window.
 
-    Returns (scalar factor, folded mid).  Windows: uaTL-family [0, d) with a
-    factor gamma-hat per full turn; upTL [0, 2d) with gamma^2 per double
-    turn; upTL1/upTL2 [0, d) with gamma-hat per turn (parity is preserved
-    because d is even there).
+    Returns (scalar factor, folded mid), or (0, None) when the term dies.
+    Windows: uaTL-family [0, d) with a factor gamma-hat per full turn; upTL
+    [0, 2d) with gamma^2 per double turn; upTL1/upTL2 [0, d) with
+    gamma-hat per turn (parity is preserved because d is even there).  For
+    d = 0 the mid counts non-contractible loops: they kill the term in the
+    double-starred kinds, weigh alpha each in uaTL1 and alpha per pair in
+    upTL1.  aTL, pTL and TL keep the mid raw.
     """
-    if kind in ("aTL", "pTL", "TL") or d == 0:
+    if kind in ("aTL", "pTL", "TL"):
         return env.one, mid
+    if d == 0:
+        if kind in ("uaTL2", "upTL2"):
+            return 0, None
+        if kind == "uaTL1":
+            return env.alpha ** mid if mid else env.one, 0
+        if kind == "upTL1":
+            pairs, rem = divmod(mid, 2)
+            return env.alpha ** (2 * pairs) if pairs else env.one, rem
+        raise ValueError(f"{kind} has no d = 0 sector")  # n odd kinds
     if kind in ("uaTL", "uaTL1", "uaTL2", "upTL1", "upTL2"):
         window = d
         per_wrap = gamma_hat(kind, env)
@@ -112,33 +124,16 @@ def reduce(c: Diagram, variant: AlgebraVariant, env: ParamEnv):
         raise ValueError("seam-crossing diagram handed to TL")
     if variant.even_only and not c.is_even():
         raise ValueError(f"odd diagram handed to {kind}")
-    one = env.one
-    if kind in ("aTL", "pTL", "TL"):
-        return one, c
     d = c.d
-    if d == 0:
-        m = c.mid
-        if kind in ("uaTL2", "upTL2"):
-            return 0, None
-        if kind == "uaTL1":
-            coeff = env.alpha ** m if m else one
-            if m == 0:
-                return coeff, c
-            return coeff, Diagram(c.bottom, c.top, 0)
-        if kind == "upTL1":
-            pairs, rem = divmod(m, 2)
-            coeff = env.alpha ** (2 * pairs) if pairs else one
-            if rem == m:
-                return coeff, c
-            return coeff, Diagram(c.bottom, c.top, rem)
-        raise ValueError(f"{kind} has no d = 0 sector")  # n odd kinds
     if d == variant.n and kind in PERIODIC_KINDS:
         if c.mid != 0:
             raise ValueError(
                 "a nonzero winding on n through-lines is not an element of "
                 "the periodic algebra")
-        return one, c
+        return env.one, c
     coeff, m = _reduce_mid(kind, env, d, c.mid)
+    if m is None:
+        return 0, None
     if m == c.mid:
         return coeff, c
     return coeff, diagrams.intern_diagram(c.bottom, c.top, m)
@@ -525,21 +520,16 @@ def psi_bilinear(v: LinkState, w: LinkState, variant: AlgebraVariant,
     if v_pairs:
         return MiddleValue(0, 0, d)  # two v-defects joined
     coeff = env.beta ** beta_exp if beta_exp else env.one
-    kind = variant.kind
     if d == 0:
-        m = nc
-        if kind in ("uaTL2", "upTL2"):
-            return MiddleValue(0, 0, 0)
-        if kind == "uaTL1":
-            return MiddleValue(coeff * env.alpha ** m if m else coeff, 0, 0)
-        if kind == "upTL1":
-            pairs, rem = divmod(m, 2)
-            c = coeff * env.alpha ** (2 * pairs) if pairs else coeff
-            return MiddleValue(c, rem, 0)
-        return MiddleValue(coeff, m, 0)  # aTL/pTL: raw f-power
-    # winding: the diagram iota(w) v has w below and v on top, so a defect
-    # descending from v-index a lands on w-index a - r; a leftward descent
-    # counts +1, matching the Omega convention of the diagram mid.
-    a, j = links[0]
-    factor, m = _reduce_mid(kind, env, d, a - j)
+        mid = nc
+    else:
+        # winding: the diagram iota(w) v has w below and v on top, so a
+        # defect descending from v-index a lands on w-index a - r; a
+        # leftward descent counts +1, matching the Omega convention of the
+        # diagram mid.
+        a, j = links[0]
+        mid = a - j
+    factor, m = _reduce_mid(variant.kind, env, d, mid)
+    if m is None:
+        return MiddleValue(0, 0, d)
     return MiddleValue(coeff * factor, m, d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
@@ -25,13 +25,33 @@ from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
 
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
 
-@lru_cache(maxsize=None)
-def _wj_cached(variant: AlgebraVariant, env: ParamEnv, m: int, offset: int):
-    alg = Algebra(variant, env)
+@lru_cache(maxsize=8)  # a certificate or an e_0 Z grid uses one point
+def _blocks_at(variant: AlgebraVariant, env: ParamEnv) -> dict:
+    """The blocks built so far at one parameter point, by (builder, key);
+    only the last few points stay alive."""
+    return {}
+
+
+def _block(build):
+    """Memoize build(alg, *key) per (alg.variant, alg.env).  A block lives
+    on the algebra of its first caller; a build that raises stores nothing,
+    so its argument checks run on every miss."""
+    @wraps(build)
+    def cached(alg: Algebra, *key) -> AlgebraElement:
+        memo = _blocks_at(alg.variant, alg.env)
+        hit = memo.get((build, key))
+        if hit is None:
+            hit = memo[build, key] = build(alg, *key)
+        return hit
+    return cached
+
+
+@_block
+def _wj(alg: Algebra, m: int, offset: int) -> AlgebraElement:
     if m == 1:
         return alg.one()
-    prev = _wj_cached(variant, env, m - 1, offset)
-    c = qnum(m - 1, env) / qnum(m, env)
+    prev = _wj(alg, m - 1, offset)
+    c = qnum(m - 1, alg.env) / qnum(m, alg.env)
     return prev + c * (prev * alg.e(offset + m - 1) * prev)
 
 
@@ -46,11 +66,11 @@ def wenzl_jones_P(m: int, alg: Algebra, offset: int = 0) -> AlgebraElement:
     if not 0 <= m <= n or offset < 0 or offset + m > n:
         raise ValueError(f"P_{m} at offset {offset} does not fit in {n} strands")
     if m == 0:
-        return Algebra(alg.variant, alg.env).one()
+        return alg.one()
     for j in range(1, m + 1):
         if qnum(j, alg.env) == 0:
             raise ValueError(f"[{j}] vanishes: q is not generic")
-    return _wj_cached(alg.variant, alg.env, m, offset)
+    return _wj(alg, m, offset)
 
 
 # -- sandwich building blocks -------------------------------------------------
@@ -77,56 +97,41 @@ def cup_diagram(n: int, k: int, l2: int) -> Diagram:
     return Diagram(v, v, l2)
 
 
-@lru_cache(maxsize=None)
-def _build_Z_cached(variant, env, k, l2):
-    alg = Algebra(variant, env)
+@_block
+def build_Z(alg: Algebra, k: int, l2: int) -> AlgebraElement:
+    """Z_{k,l} = P_n (k cups, winding l2, k caps) P_n; Z_{0,0} = P_n."""
     p = wenzl_jones_P(alg.n, alg)
     c = alg.from_diagram(cup_diagram(alg.n, k, l2))
     return p * c * p
 
 
-def build_Z(alg: Algebra, k: int, l2: int) -> AlgebraElement:
-    """Z_{k,l} = P_n (k cups, winding l2, k caps) P_n; Z_{0,0} = P_n."""
-    return _build_Z_cached(alg.variant, alg.env, k, l2)
-
-
-@lru_cache(maxsize=None)
-def _build_X_cached(variant, env, k, l2):
-    alg = Algebra(variant, env)
+@_block
+def build_X(alg: Algebra, k: int, l2: int) -> AlgebraElement:
+    """X_{k,l}: the Z top half over P_{n-2} on strands 2..n-1, with the
+    outermost cup descending to the boundary arc through the seam."""
     n = alg.n
-    inner = wenzl_jones_P(n - 2, alg, offset=1)
+    if k < 1 or 2 * k > n:
+        raise ValueError(f"X_{k} undefined for n={n}")
+    inner = wenzl_jones_P(n - 2, alg, 1)
     c = alg.from_diagram(cup_diagram(n, k, l2))
     return inner * c * wenzl_jones_P(n, alg)
 
 
-def build_X(alg: Algebra, k: int, l2: int) -> AlgebraElement:
-    """X_{k,l}: the Z top half over P_{n-2} on strands 2..n-1, with the
-    outermost cup descending to the boundary arc through the seam."""
-    if k < 1 or 2 * k > alg.n:
-        raise ValueError(f"X_{k} undefined for n={alg.n}")
-    return _build_X_cached(alg.variant, alg.env, k, l2)
-
-
-@lru_cache(maxsize=None)
-def _build_Y_cached(variant, env, k, l2):
-    alg = Algebra(variant, env)
+@_block
+def build_Y(alg: Algebra, k: int, l2: int) -> AlgebraElement:
+    """Y_{k,l}: like X but with P_{n-1} wrapped around the seam and the
+    extra half-unit of winding in the middle."""
     n = alg.n
+    if k < 1 or 2 * k > n:
+        raise ValueError(f"Y_{k} undefined for n={n}")
     # e_0 then P_{n-1} on strands 2..n then the cup e_1 realizes the wrap:
     # the projector's first top strand travels around the seam corridor to
     # its own last bottom strand.  The cup chain shifts the strand frame by
     # one node, so the picture's winding 2l - 1 reads 2l - 2 in the cup
     # coordinates used here (pinned by the e_0 Z_{0,l} expansion).
-    lower = alg.e(0) * wenzl_jones_P(n - 1, alg, offset=1) * alg.e(1)
+    lower = alg.e(0) * wenzl_jones_P(n - 1, alg, 1) * alg.e(1)
     c = alg.from_diagram(cup_diagram(n, k, l2 - 2))
     return lower * c * wenzl_jones_P(n, alg)
-
-
-def build_Y(alg: Algebra, k: int, l2: int) -> AlgebraElement:
-    """Y_{k,l}: like X but with P_{n-1} wrapped around the seam and the
-    extra half-unit of winding in the middle."""
-    if k < 1 or 2 * k > alg.n:
-        raise ValueError(f"Y_{k} undefined for n={alg.n}")
-    return _build_Y_cached(alg.variant, alg.env, k, l2)
 
 
 # -- the f coefficients of the expansion --------------------------------------
@@ -356,6 +361,20 @@ def _row_lower_part(tbl: GammaTable, num, n: int, k: int, l2: int):
     return out
 
 
+def _starred_row(tbl: GammaTable, num, n: int):
+    """(lead, rest) of the starred constraint row k = n/2, which reads
+    lead * Gamma_{n/2, 0} + rest = 0 with rest over the lower layers."""
+    alpha = tbl.env.alpha
+    half = num[n // 2]
+    d = _fD(num, n)
+    lead = (alpha ** 2 * half ** 2 - num[n] ** 2) / d
+    rest = half ** 2 / d * (num[2] * tbl.eval((n - 2) // 2, 0)
+                            + alpha * tbl.eval((n - 2) // 2, 1))
+    if n >= 4:
+        rest = rest + f5(num, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
+    return lead, rest
+
+
 def gamma_residuals(tbl: GammaTable) -> dict:
     """Exact residuals of every linear constraint the table must satisfy."""
     variant, n, env = tbl.variant, tbl.n, tbl.env
@@ -369,14 +388,8 @@ def gamma_residuals(tbl: GammaTable) -> dict:
                 + _row_lower_part(tbl, num, n, k, l2)
             out[(k, l2)] = r
     if variant.kind in STARRED_KINDS:
-        half, full = num[n // 2], num[n]
-        d = _fD(num, n)
-        r = (env.alpha ** 2 * half ** 2 - full ** 2) / d * tbl.eval(n // 2, 0) \
-            + half ** 2 / d * (num[2] * tbl.eval((n - 2) // 2, 0)
-                               + env.alpha * tbl.eval((n - 2) // 2, 1))
-        if n >= 4:
-            r = r + f5(num, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
-        out[(n // 2, 0)] = r
+        lead, rest = _starred_row(tbl, num, n)
+        out[(n // 2, 0)] = lead * tbl.eval(n // 2, 0) + rest
     return out
 
 
@@ -441,14 +454,8 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
                     else:
                         tbl.entries[(k, l2)] = gh * gint[(l2 + mk2) // 2]
     if kind in STARRED_KINDS:
-        half, full = num[n // 2], num[n]
-        d = _fD(num, n)
-        lead = (env.alpha ** 2 * half ** 2 - full ** 2) / d
-        acc = half ** 2 / d * (num[2] * tbl.eval((n - 2) // 2, 0)
-                               + env.alpha * tbl.eval((n - 2) // 2, 1))
-        if n >= 4:
-            acc = acc + f5(num, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
-        tbl.entries[(n // 2, 0)] = -acc / lead
+        lead, rest = _starred_row(tbl, num, n)
+        tbl.entries[(n // 2, 0)] = -rest / lead
     return tbl
 
 

@@ -8,11 +8,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import diagrams
 from .algebra import Algebra, AlgebraElement, AlgebraVariant, ResourceLimitError
 from .diagrams import Diagram, LinkState, act_on_state, link_states
-from .scalars import ParamEnv
+from .scalars import NonGenericParameterError, ParamEnv
 
 MAX_BRAID_N = 8
 MAX_CHEBYSHEV_DEGREE = 24
@@ -32,13 +33,13 @@ class StandardModule:
         if (self.n - self.d) % 2 or not 0 <= self.d <= self.n:
             raise ValueError("d must match the parity of n")
         if not self.z:
-            raise ValueError("z must be invertible")
+            raise NonGenericParameterError("z must be invertible")
 
     @property
     def basis(self):
         return link_states(self.n, self.d)
 
-    @property
+    @cached_property
     def alpha(self):
         return self.z + 1 / self.z
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 EXACT = "exact-rational"
@@ -44,7 +44,8 @@ class NonGenericParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ParamEnv:
-    """A concrete parameter point.  beta is always derived, never stored."""
+    """A concrete parameter point.  q and beta are derived from s, once per
+    instance; equality and hashing see the stored fields only."""
 
     backend: str
     s: object  # Fraction or complex; q = s**2
@@ -78,11 +79,11 @@ class ParamEnv:
     def zero(self):
         return Fraction(0) if self.backend == EXACT else complex(0)
 
-    @property
+    @cached_property
     def q(self):
         return self.s * self.s
 
-    @property
+    @cached_property
     def beta(self):
         return -self.q - 1 / self.q
 
@@ -127,7 +128,7 @@ def qnum_at(q, k: int):
     return (q ** k - q ** (-k)) / (q - 1 / q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _qnum_cached(s, k):
     return qnum_at(s * s, k)
 

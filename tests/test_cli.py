@@ -209,6 +209,11 @@ def test_zero_twist_is_nongeneric():
                         "--gamma", "0"]) == 2
     assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
                         "--gamma-root", "0"]) == 2
+    # the module twist z too, whichever command reads it
+    assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
+                        "--z", "0"]) == 2
+    assert _error_code(["central", "--n", "3", "--which", "F",
+                        "--z", "0"]) == 2
 
 
 def test_affine_sector_out_of_range_is_invalid():

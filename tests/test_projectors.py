@@ -1,4 +1,6 @@
 import cmath
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -488,6 +490,40 @@ def test_certificate_bundle():
     assert cert["verified"]
     assert cert["checks"]["matches_oracle"]
     assert cert["gamma_table"]["entries"]
+
+
+def test_certificates_leave_live_memory_bounded():
+    # the projector blocks of only the last few parameter points stay
+    # cached, so a long-lived process does not grow with every seed
+    variant = AlgebraVariant("upTL", 3)
+
+    def certify(seeds):
+        for seed in seeds:
+            env = sample_env(seed, "upTL", 3)
+            assert projector_certificate(variant, 3, None, env)["verified"]
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        warm = certify(range(1, 31))
+        grown = certify(range(31, 71)) - warm
+    finally:
+        tracemalloc.stop()
+    assert grown < 48 * 1024
+
+
+def test_blocks_are_shared_per_point_and_checked_on_every_call():
+    env = sample_env(5, "uaTL", 5)
+    a, b = (Algebra(AlgebraVariant("uaTL", 5), env) for _ in range(2))
+    assert build_Z(a, 1, 2) is build_Z(b, 1, 2)
+    assert wenzl_jones_P(4, a, 1) is wenzl_jones_P(4, b, 1)
+    assert wenzl_jones_P(0, a).equals(a.one())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="X_0 undefined"):
+            build_X(a, 0, 0)
+        with pytest.raises(ValueError, match="does not fit"):
+            wenzl_jones_P(5, a, 1)
 
 
 def test_q_module_action_small():
