@@ -1,10 +1,14 @@
 """Wenzl-Jones projectors, the Gamma coefficient tables, and verification.
 
-The coefficient recurrence (one layer per k) is the discrete operator
-S + S^-1 - (q^n + q^-n) acting on a twisted-periodic grid of windings; its
-inverse is the closed-form kernel J (n even, per parity sublattice) or
-J-tilde (n odd, in the integer presentation).  The solver convolves the
-lower layers with that kernel; a separate residual checker evaluates the
+A Gamma table stores each layer k on one window of l2 = 2l and recovers
+every other entry through the window convention
+Gamma_{k, l + m_k} = gamma_hat^-1 Gamma_{k, l}; ``_fold`` is that
+convention, read by the table lookup, the grid and the solver alike.  The
+coefficient recurrence (one layer per k) is the discrete operator
+S + S^-1 - (q^n + q^-n) on the cycles l2 -> l2 + 2 of that twisted-periodic
+grid: one ring through every row for n odd, one per parity for n even.
+Its inverse on a cycle is the closed-form kernel J, which the solver
+convolves with the lower layers; a separate residual checker evaluates the
 linear constraints verbatim, and a linear-system oracle rebuilds the
 projector from nothing but annihilation and normalization.
 """
@@ -20,7 +24,8 @@ from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
                       basis_enumerate, is_idempotent)
 from .diagrams import DEFECT, Diagram, LinkState, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
-                      gamma_hat, qladder, qnum, validate_env)
+                      UNCOILED_KINDS, gamma_hat, qladder, qnum,
+                      validate_env)
 
 
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
@@ -180,36 +185,36 @@ def f4(num, n, k, l2):
 
 # -- Gamma tables --------------------------------------------------------------
 
+def _fold(kind: str, n: int, k: int, l2: int):
+    """(s, w) with Gamma_{k, l2} = gamma_hat^-w Gamma_{k, s} for the stored
+    index s of layer k < n/2, or (None, 0) where Gamma_{k, l2} vanishes.
+
+    Layer k is stored on l2 in [0, 2 m_k): every l2 for the affine kinds,
+    the even ones for upTL1 and upTL2 (whose half-odd grid vanishes), and
+    for upTL the even representative, which lies in [0, 4 m_k).
+    """
+    step = n - 2 * k
+    w, s = divmod(l2, step)
+    if s % 2 and kind not in AFFINE_KINDS:
+        if kind != "upTL":
+            return None, 0
+        s, w = s + step, w - 1
+    return s, w
+
+
 def gamma_grid(variant: AlgebraVariant):
     """All (k, l2) index pairs of the variant's Gamma table, k = 0 included
-    (for the affine kinds the k = 0 row encodes the eigenprojector term)."""
+    (for the affine kinds the k = 0 row encodes the eigenprojector term):
+    the indices that _fold stores, plus (n/2, 0) for the starred kinds."""
     kind, n = variant.kind, variant.n
-    out = []
-    if kind in ("uaTL", "uaTL1", "uaTL2"):
-        kmax = (n - 1) // 2 if kind == "uaTL" else (n - 2) // 2
-        for k in range(kmax + 1):
-            out.extend((k, l2) for l2 in range(n - 2 * k))
-    elif kind == "upTL":
-        for k in range((n - 1) // 2 + 1):
-            out.extend((k, 2 * l) for l in range(n - 2 * k))
-    elif kind in ("upTL1", "upTL2"):
-        for k in range((n - 2) // 2 + 1):
-            out.extend((k, 2 * l) for l in range((n - 2 * k) // 2))
-    else:
+    if kind not in UNCOILED_KINDS:
         raise ValueError(f"no Gamma table for {kind}")
+    out = [(k, l2) for k in range((n - 1) // 2 + 1)
+           for l2 in range(2 * (n - 2 * k))
+           if _fold(kind, n, k, l2) == (l2, 0)]
     if kind in STARRED_KINDS:
         out.append((n // 2, 0))
     return tuple(out)
-
-
-def _window(kind: str, n: int, k: int):
-    """(stored l2 window size, parity constraint or None) for layer k."""
-    step = n - 2 * k
-    if kind in AFFINE_KINDS:
-        return step, None
-    if kind == "upTL":
-        return 2 * step, 0
-    return step, 0  # upTL1, upTL2
 
 
 @dataclass
@@ -223,43 +228,18 @@ class GammaTable:
     entries: dict = field(default_factory=dict)
 
     def eval(self, k: int, l2: int):
-        """Gamma at any l2, via the window convention
-        Gamma_{k, l+m_k} = gamma_hat^{-1} Gamma_{k, l}."""
+        """Gamma at any l2, folded onto the stored window by _fold."""
         if k < 0:
             return 0
-        n = self.n
-        if 2 * k == n:
+        if 2 * k == self.n:
             if l2 != 0:
                 raise ValueError("the k = n/2 entry only exists at l = 0")
             return self.entries.get((k, 0), 0)
         kind = self.variant.kind
-        window, par = _window(kind, n, k)
-        step = n - 2 * k
-        if par is not None and step % 2 == 0 and l2 % 2 != par:
-            return 0  # the half-odd grid vanishes for the periodic even kinds
-        gh = gamma_hat(kind, self.env)
-        fold = self.env.one
-        guard = 0
-        while True:
-            if 0 <= l2 < window and (par is None or l2 % 2 == par):
-                return fold * self.entries[(k, l2)]
-            if par is not None and 0 <= l2 < window:
-                # wrong parity inside the window (n odd): one more fold
-                if l2 >= step:
-                    l2 -= step
-                    fold = fold / gh
-                else:
-                    l2 += step
-                    fold = fold * gh
-            elif l2 < 0:
-                l2 += step
-                fold = fold * gh
-            else:
-                l2 -= step
-                fold = fold / gh
-            guard += 1
-            if guard > 8 * (n + 2):
-                raise AssertionError("window folding did not terminate")
+        s, w = _fold(kind, self.n, k, l2)
+        if s is None:
+            return 0
+        return gamma_hat(kind, self.env) ** -w * self.entries[(k, s)]
 
     def diff(self, other: "GammaTable") -> dict:
         keys = set(self.entries) | set(other.entries)
@@ -303,31 +283,28 @@ def gamma_initial(variant: AlgebraVariant, r, env: ParamEnv, k0_l2: int):
 
 def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
              env: ParamEnv):
-    """The convolution kernel: J_k for n even, J-tilde_k for n odd.
+    """The convolution kernel J of layer k on a cycle l2 -> l2 + 2.
 
-    ell2 is the doubled argument; the kernel only ever takes integer
-    arguments, so ell2 must be even.
+    The cycle closes after turns = 1 (n even) or 2 (n odd) windows of
+    2 m_k, on size = turns * m_k points, and picks up gamma_hat^turns; for
+    n odd this is J-tilde, J with gamma_hat -> gamma_hat^2 and
+    m_k -> 2 m_k.  ell2 is the doubled argument; the kernel only ever takes
+    integer arguments, so ell2 must be even, and |ell2 / 2| <= 2 size.
     """
     if ell2 % 2:
         raise ValueError("kernel argument must be an integer (even ell2)")
     ell = ell2 // 2
     q = env.q
-    gh = gamma_hat(variant.kind, env)
-    pref = -1 / (q ** n - q ** (-n))
     mk2 = n - 2 * k
-    if n % 2:
-        tw = gh * gh
-        e = n * mk2  # 2 n m_k
-        if abs(ell) > 2 * mk2:
-            raise ValueError("kernel argument out of range")
-        den_plus = (1 / tw if ell >= 0 else tw) * q ** e - 1
-        den_minus = (1 / tw if ell >= 0 else tw) * q ** (-e) - 1
-    else:
-        e = n * mk2 // 2  # n m_k
-        if abs(ell) > mk2:
-            raise ValueError("kernel argument out of range")
-        den_plus = (1 / gh if ell >= 0 else gh) * q ** e - 1
-        den_minus = (1 / gh if ell >= 0 else gh) * q ** (-e) - 1
+    turns = 2 if mk2 % 2 else 1
+    size = mk2 * turns // 2
+    if abs(ell) > 2 * size:
+        raise ValueError("kernel argument out of range")
+    tw = gamma_hat(variant.kind, env) ** turns
+    pref = -1 / (q ** n - q ** (-n))
+    e = n * size
+    den_plus = (1 / tw if ell >= 0 else tw) * q ** e - 1
+    den_minus = (1 / tw if ell >= 0 else tw) * q ** (-e) - 1
     a = abs(ell)
     return pref * (q ** (n * a) / den_plus - q ** (-n * a) / den_minus)
 
@@ -395,7 +372,15 @@ def gamma_residuals(tbl: GammaTable) -> dict:
 
 def gamma_solve(variant: AlgebraVariant, n: int, r=None,
                 env: ParamEnv | None = None) -> GammaTable:
-    """Triangular solve in k via the kernel convolution."""
+    """Triangular solve in k via the kernel convolution.
+
+    Layer k couples l2 to l2 +- 2 only, so it splits into the cycles
+    l2 -> l2 + 2: for n odd one ring l2 = 0, 2, ..., 2(2 m_k - 1) through
+    every row, for n even one per parity (the even one alone for the
+    periodic kinds, whose odd rows vanish).  On a cycle the row at l2 is
+    rows[l2 mod 2 m_k] / gamma_hat^(l2 div 2 m_k), the kernel J inverts the
+    operator, and each result is stored through _fold.
+    """
     if env is None:
         raise ValueError("an environment is required")
     validate_env(env, variant, n)
@@ -407,52 +392,30 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     for (k, l2) in gamma_grid(variant):
         if k == 0:
             tbl.entries[(0, l2)] = gamma_initial(variant, r, env, l2)
-    kmax = (n - 1) // 2
-    for k in range(1, kmax + 1):
+    for k in range(1, (n - 1) // 2 + 1):
         mk2 = n - 2 * k
-        rows = {l2: _row_lower_part(tbl, num, n, k, l2) for l2 in range(mk2)}
+        rows = [_row_lower_part(tbl, num, n, k, l2) for l2 in range(mk2)]
         inv_f2 = -1 / f2(num, n, k)
+        turns = 2 if mk2 % 2 else 1
+        size = mk2 * turns // 2
         # the kernel depends on the offset l2' - l2 only: one per offset
-        span = mk2 - 1 if n % 2 else (mk2 - 1) // 2
         kern = {2 * e: kernel_J(variant, n, k, 2 * e, env)
-                for e in range(-span, span + 1)}
-        if n % 2 == 0:
-            parities = (0, 1) if kind in AFFINE_KINDS else (0,)
-            if kind not in AFFINE_KINDS:
-                for l2 in range(1, mk2, 2):
-                    if rows[l2]:
-                        raise AssertionError(
-                            "odd rows must vanish for periodic kinds")
-            for par_ in parities:
-                idx = list(range(par_, mk2, 2))
-                for l2 in idx:
-                    acc = 0
-                    for l2p in idx:
-                        if rows[l2p]:
-                            acc = acc + kern[l2p - l2] * rows[l2p]
-                    tbl.entries[(k, l2)] = inv_f2 * acc
-        else:
-            # integer presentation: row at half-odd l sits at j = l + m_k
-            rint = [0] * mk2
-            for l2 in range(mk2):
-                j = l2 // 2 if l2 % 2 == 0 else (l2 + mk2) // 2
-                rint[j] = rows[l2] / gh if l2 % 2 else rows[l2]
-            gint = []
-            for j in range(mk2):
+                for e in range(1 - size, size)}
+        starts = (0,)
+        if turns == 1 and kind in AFFINE_KINDS:
+            starts = (0, 1)
+        elif turns == 1 and any(rows[1::2]):
+            raise AssertionError("odd rows must vanish for periodic kinds")
+        for start in starts:
+            ring = range(start, start + turns * mk2, 2)
+            rhs = [rows[l2 % mk2] / gh ** (l2 // mk2) for l2 in ring]
+            for l2 in ring:
                 acc = 0
-                for jp in range(mk2):
-                    if rint[jp]:
-                        acc = acc + kern[2 * (jp - j)] * rint[jp]
-                gint.append(inv_f2 * acc)
-            if kind == "upTL":
-                for j in range(mk2):
-                    tbl.entries[(k, 2 * j)] = gint[j]
-            else:  # uaTL: half-integer grid l2 in [0, mk2)
-                for l2 in range(mk2):
-                    if l2 % 2 == 0:
-                        tbl.entries[(k, l2)] = gint[l2 // 2]
-                    else:
-                        tbl.entries[(k, l2)] = gh * gint[(l2 + mk2) // 2]
+                for l2p, b in zip(ring, rhs):
+                    if b:
+                        acc = acc + kern[l2p - l2] * b
+                s, w = _fold(kind, n, k, l2)
+                tbl.entries[(k, s)] = gh ** w * (inv_f2 * acc)
     if kind in STARRED_KINDS:
         lead, rest = _starred_row(tbl, num, n)
         tbl.entries[(n // 2, 0)] = -rest / lead
@@ -591,14 +554,19 @@ def build_projector_Q(tbl: GammaTable) -> AlgebraElement:
     return p * mid * p
 
 
+def _generators(alg: Algebra) -> list:
+    """[(j, e_j)] for the TL generators of alg; none below two strands,
+    where no cup fits."""
+    return [(j, alg.e(j)) for j in range(alg.n)] if alg.n >= 2 else []
+
+
 def _annihilator_rows(alg: Algebra, basis) -> list:
     """The rows of {e_j X = X e_j = 0 for all j} (plus Omega X = omega X =
     X Omega for the affine kinds) over the coordinates of X in ``basis``."""
     env = alg.env
     zero, dim = env.zero, len(basis)
     ops = []
-    for j in range(alg.n):
-        g = alg.e(j)
+    for _, g in _generators(alg):
         ops.append(lambda x, g=g: g * x)
         ops.append(lambda x, g=g: x * g)
     if alg.variant.kind in AFFINE_KINDS:
@@ -716,8 +684,8 @@ def projector_checks(q: AlgebraElement, r, with_oracle: bool) -> dict:
     variant, n, env = alg.variant, alg.n, alg.env
     checks = {"idempotent": None if is_idempotent(q) else "Q^2 != Q"}
     checks["annihilated"] = _first_nonzero(
-        pair for j in range(n)
-        for pair in ((f"e_{j} Q", alg.e(j) * q), (f"Q e_{j}", q * alg.e(j))))
+        pair for j, g in _generators(alg)
+        for pair in ((f"e_{j} Q", g * q), (f"Q e_{j}", q * g)))
     if variant.kind in AFFINE_KINDS:
         om, w = alg.omega(), env.omega
         checks["omega_eigen"] = _first_nonzero(

@@ -43,6 +43,11 @@ class StandardModule:
     def alpha(self):
         return self.z + 1 / self.z
 
+    @cached_property
+    def weights(self) -> dict:
+        """The action's weights beta^b alpha^nc z^e, memoized by (b, nc, e)."""
+        return {}
+
     def index(self, state: LinkState) -> int:
         return self.basis.index(state)
 
@@ -93,16 +98,20 @@ def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
     beta_exp, nc, z_exp, state = res
     if c.d == 0:
         nc += c.mid  # loops already stored on the diagram weigh alpha too
-    env = module.env
     if nc and module.d > 0:
         raise AssertionError("non-contractible loop in a d > 0 action")
-    coeff = env.one
-    if beta_exp:
-        coeff = coeff * env.beta ** beta_exp
-    if nc:
-        coeff = coeff * module.alpha ** nc
-    if z_exp:
-        coeff = coeff * module.z ** z_exp
+    key = (beta_exp, nc, z_exp)
+    coeff = module.weights.get(key)
+    if coeff is None:
+        env = module.env
+        coeff = env.one
+        if beta_exp:
+            coeff = coeff * env.beta ** beta_exp
+        if nc:
+            coeff = coeff * module.alpha ** nc
+        if z_exp:
+            coeff = coeff * module.z ** z_exp
+        module.weights[key] = coeff
     return coeff, state
 
 

@@ -197,6 +197,18 @@ def _error_code(argv):
     return code
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]],
+                         ids=["verify", "oracle"])
+@pytest.mark.parametrize("algebra", ["uatl", "uptl"])
+def test_projector_verify_on_one_strand(algebra, oracle):
+    # one strand carries no TL generator, so Q = id is annihilated vacuously
+    code, out, _ = _run_quiet(["projector", "--verify", "--algebra", algebra,
+                               "--n", "1", "--seed", "0"] + oracle)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert all(checks.values()) and ("matches_oracle" in checks) == bool(oracle)
+
+
 def test_zero_denominator_is_invalid_input():
     assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
                         "--z", "1/0"]) == 3

@@ -7,7 +7,8 @@ import pytest
 
 from uncoiledtl.algebra import Algebra, AlgebraVariant
 from uncoiledtl.diagrams import flip
-from uncoiledtl.projectors import (annihilator_rank, build_projector_Q,
+from uncoiledtl.projectors import (GammaTable, annihilator_rank,
+                                   build_projector_Q,
                                    build_X, build_Y, build_Z, check_e0Z,
                                    cup_state, gamma_conjecture, gamma_grid,
                                    gamma_initial, gamma_residuals,
@@ -108,6 +109,12 @@ def test_kernel_matches_root_sum_float():
         direct /= mk
         got = kernel_J(v, n, k, 2 * ell, env)
         assert abs(got - direct) <= 1e-9 * max(1, abs(got))
+    # |ell| may reach 2 m_k, twice the m_k points of a sublattice cycle
+    for ell in (2 * mk, -2 * mk):
+        kernel_J(v, n, k, 2 * ell, env)
+    for ell in (2 * mk + 1, -2 * mk - 1):
+        with pytest.raises(ValueError):
+            kernel_J(v, n, k, 2 * ell, env)
 
 
 def test_kernel_tilde_is_substituted_J():
@@ -125,6 +132,9 @@ def test_kernel_tilde_is_substituted_J():
         assert kernel_J(v, n, k, 2 * ell, env) == want
     with pytest.raises(ValueError):
         kernel_J(v, n, k, 1, env)  # odd doubled argument
+    for ell in (2 * mk2 + 1, -2 * mk2 - 1):  # past twice the ring's 2 m_k
+        with pytest.raises(ValueError):
+            kernel_J(v, n, k, 2 * ell, env)
 
 
 # -- Gamma tables -------------------------------------------------------------
@@ -307,6 +317,75 @@ def test_conjecture_matches_term_by_term_reference():
             assert gamma_conjecture(v, n, k, l2, r, env) == want
             cases += 1
     assert cases > 1000
+
+
+def _gamma_grid_reference(variant):
+    """The per-kind index lists the fold-derived gamma_grid must reproduce."""
+    kind, n = variant.kind, variant.n
+    out = []
+    if kind in ("uaTL", "uaTL1", "uaTL2"):
+        kmax = (n - 1) // 2 if kind == "uaTL" else (n - 2) // 2
+        for k in range(kmax + 1):
+            out.extend((k, l2) for l2 in range(n - 2 * k))
+    elif kind == "upTL":
+        for k in range((n - 1) // 2 + 1):
+            out.extend((k, 2 * l) for l in range(n - 2 * k))
+    else:  # upTL1, upTL2
+        for k in range((n - 2) // 2 + 1):
+            out.extend((k, 2 * l) for l in range((n - 2 * k) // 2))
+    if kind in STARRED_KINDS:
+        out.append((n // 2, 0))
+    return tuple(out)
+
+
+def _eval_reference(tbl, k, l2):
+    """Gamma_{k, l2} for k < n/2 by the window folding loop, one step of
+    m_k at a time: the reference GammaTable.eval must reproduce exactly."""
+    kind, n = tbl.variant.kind, tbl.n
+    step = n - 2 * k
+    if kind in AFFINE_KINDS:
+        window, par = step, None
+    else:
+        window, par = (2 * step if kind == "upTL" else step), 0
+    if par is not None and step % 2 == 0 and l2 % 2 != par:
+        return 0
+    gh = gamma_hat(kind, tbl.env)
+    fold = tbl.env.one
+    for _ in range(8 * (n + 2)):
+        if 0 <= l2 < window and (par is None or l2 % 2 == par):
+            return fold * tbl.entries[(k, l2)]
+        if par is not None and 0 <= l2 < window:
+            # wrong parity inside the window (n odd): one more fold
+            if l2 >= step:
+                l2, fold = l2 - step, fold / gh
+            else:
+                l2, fold = l2 + step, fold * gh
+        elif l2 < 0:
+            l2, fold = l2 + step, fold * gh
+        else:
+            l2, fold = l2 - step, fold / gh
+    raise AssertionError("window folding did not terminate")
+
+
+def test_fold_matches_the_folding_loop_reference():
+    cases = 0
+    for v, r, env in _conjecture_cases(15, seeds=(0,)):
+        n = v.n
+        # distinct entries, so that a wrong stored index cannot hide
+        entries = {key: Fraction(i + 2, i + 1)
+                   for i, key in enumerate(_gamma_grid_reference(v))}
+        tbl = GammaTable(v, n, r, env, entries)
+        for k in range((n + 1) // 2):
+            window = 2 * (n - 2 * k) if v.kind == "upTL" else n - 2 * k
+            for l2 in range(-3 * window, 4 * window):
+                want = _eval_reference(tbl, k, l2)
+                assert tbl.eval(k, l2) == want, (v.kind, n, k, l2)
+                cases += 1
+    assert cases > 10000
+    for kind in UNCOILED_KINDS:
+        for n in range(1 if kind in ("uaTL", "upTL") else 2, 22, 2):
+            v = AlgebraVariant(kind, n)
+            assert gamma_grid(v) == _gamma_grid_reference(v), (kind, n)
 
 
 def test_gamma_grid_shapes():
