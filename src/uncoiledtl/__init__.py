@@ -9,8 +9,7 @@ from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
                       InfiniteAlgebraError, ResourceLimitError,
                       basis_dimension, basis_enumerate,
                       dimension_closed_form, mul, psi_bilinear, reduce)
-from .reps import (StandardModule, act, build_central, central_eigenvalue,
-                   matrix_of)
+from .reps import StandardModule, build_central, central_eigenvalue, matrix_of
 from .projectors import (GammaTable, build_projector_Q, build_Z, check_e0Z,
                          gamma_conjecture, gamma_residuals, gamma_solve,
                          kernel_J, projector_oracle, wenzl_jones_P)

@@ -17,7 +17,7 @@ from . import diagrams
 from .diagrams import (Diagram, LinkState, link_states, outer_face, sigma_bt,
                        trace_interface)
 from .scalars import (AFFINE_KINDS, ALL_KINDS, EXACT, FLOAT_RTOL,
-                      PERIODIC_KINDS, UNCOILED_KINDS, ParamEnv, gamma_hat)
+                      PERIODIC_KINDS, ParamEnv, gamma_hat)
 
 DEFAULT_MAX_TERMS = 5_000_000
 
@@ -48,14 +48,6 @@ class AlgebraVariant:
             raise ValueError(f"{self.kind} requires n odd")
         if self.kind in ("uaTL1", "upTL1", "uaTL2", "upTL2") and self.n % 2:
             raise ValueError(f"{self.kind} requires n even")
-
-    @property
-    def is_uncoiled(self) -> bool:
-        return self.kind in UNCOILED_KINDS
-
-    @property
-    def is_affine(self) -> bool:
-        return self.kind in AFFINE_KINDS or self.kind == "aTL"
 
     @property
     def even_only(self) -> bool:

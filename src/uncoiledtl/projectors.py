@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from . import linalg
+from . import diagrams, linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
-                      basis_enumerate, is_idempotent)
+                      basis_enumerate, is_idempotent, reduce)
 from .diagrams import DEFECT, Diagram, LinkState, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
                       UNCOILED_KINDS, gamma_hat, qladder, qnum,
@@ -562,26 +562,31 @@ def _generators(alg: Algebra) -> list:
 
 def _annihilator_rows(alg: Algebra, basis) -> list:
     """The rows of {e_j X = X e_j = 0 for all j} (plus Omega X = omega X =
-    X Omega for the affine kinds) over the coordinates of X in ``basis``."""
-    env = alg.env
-    zero, dim = env.zero, len(basis)
-    ops = []
-    for _, g in _generators(alg):
-        ops.append(lambda x, g=g: g * x)
-        ops.append(lambda x, g=g: x * g)
-    if alg.variant.kind in AFFINE_KINDS:
-        om = alg.omega()
-        w = env.omega
-        ops.append(lambda x: om * x - w * x)
-        ops.append(lambda x: x * om - w * x)
+    X Omega for the affine kinds) over the coordinates of X in ``basis``.
+
+    Column i of a constraint holds its image of basis[i]: one product of two
+    diagrams, reduced, so the oracle never runs through ``mul``, the product
+    that builds Q and checks Q*Q."""
+    variant, env = alg.variant, alg.env
+    n, zero, dim = alg.n, env.zero, len(basis)
+    ops = [(diagrams.e(n, j), 0) for j, _ in _generators(alg)]
+    if variant.kind in AFFINE_KINDS:
+        ops.append((diagrams.omega(n), env.omega))
     rows = []
-    for op in ops:
-        cols = {}
-        for j, dia in enumerate(basis):
-            image = op(alg.from_diagram(dia))
-            for dd, c in image.terms.items():
-                cols.setdefault(dd, [zero] * dim)[j] = c
-        rows.extend(cols.values())
+    for g, w in ops:
+        for left in (True, False):
+            cols = {}
+            for i, dia in enumerate(basis):
+                prod, k, _ = (diagrams.multiply_raw(g, dia) if left
+                              else diagrams.multiply_raw(dia, g))
+                s, dr = reduce(prod, variant, env)
+                image = {} if dr is None else {dr: s * env.beta ** k}
+                if w:
+                    image[dia] = image.get(dia, 0) - w
+                for dd, c in image.items():
+                    if c:
+                        cols.setdefault(dd, [zero] * dim)[i] = c
+            rows.extend(cols.values())
     return rows
 
 

@@ -48,46 +48,9 @@ class StandardModule:
         """The action's weights beta^b alpha^nc z^e, memoized by (b, nc, e)."""
         return {}
 
-    def index(self, state: LinkState) -> int:
-        return self.basis.index(state)
-
-    def vector(self, state: LinkState) -> "ModuleVector":
-        return ModuleVector(self, {state: self.env.one})
-
     def to_json(self):
         from .scalars import scalar_to_json
         return {"n": self.n, "d": self.d, "z": scalar_to_json(self.z)}
-
-
-@dataclass
-class ModuleVector:
-    module: StandardModule
-    coeffs: dict
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            val = out.get(s, 0) + c
-            if val:
-                out[s] = val
-            elif s in out:
-                del out[s]
-        return ModuleVector(self.module, out)
-
-    def scaled(self, x):
-        if not x:
-            return ModuleVector(self.module, {})
-        return ModuleVector(self.module,
-                            {s: c * x for s, c in self.coeffs.items()})
-
-    __rmul__ = scaled
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def is_zero(self) -> bool:
-        env = self.module.env
-        return all(env.is_zero(c) for c in self.coeffs.values())
 
 
 def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
@@ -115,41 +78,21 @@ def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
     return coeff, state
 
 
-def act(a, v: ModuleVector) -> ModuleVector:
-    """Action of a diagram or an algebra element on a module vector."""
-    module = v.module
-    terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
-    out = {}
-    for dia, ca in terms.items():
-        if dia.n != module.n:
-            raise ValueError("size mismatch")
-        for state, cv in v.coeffs.items():
-            res = act_diagram(dia, state, module)
-            if res is None:
-                continue
-            coeff, new_state = res
-            val = out.get(new_state, 0) + ca * cv * coeff
-            if val:
-                out[new_state] = val
-            elif new_state in out:
-                del out[new_state]
-    return ModuleVector(module, out)
-
-
 def matrix_of(a, module: StandardModule):
-    """Row-major matrix of the action on the ordered basis of B_{n,d}."""
+    """Row-major matrix of the action of a diagram or an algebra element on
+    the ordered basis of B_{n,d}."""
     basis = module.basis
     dim = len(basis)
-    zero = module.env.zero
     index = {s: i for i, s in enumerate(basis)}
-    cols = []
-    for state in basis:
-        image = act(a, module.vector(state))
-        col = [zero] * dim
-        for s, c in image.coeffs.items():
-            col[index[s]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    rows = [[module.env.zero] * dim for _ in range(dim)]
+    terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
+    for dia, ca in terms.items():
+        for j, state in enumerate(basis):
+            res = act_diagram(dia, state, module)
+            if res is not None:
+                coeff, image = res
+                rows[index[image]][j] += ca * coeff
+    return rows
 
 
 # -- central elements ---------------------------------------------------------

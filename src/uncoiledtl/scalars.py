@@ -106,9 +106,6 @@ class ParamEnv:
         """Replace the affine root; gamma = omega^n is re-derived."""
         return replace(self, omega=omega, gamma=omega ** n)
 
-    def with_z(self, z) -> "ParamEnv":
-        return replace(self, z=z)
-
     def to_json(self) -> dict:
         return {
             "backend": self.backend,

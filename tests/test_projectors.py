@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from uncoiledtl.algebra import Algebra, AlgebraVariant
+import uncoiledtl.algebra
+from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
 from uncoiledtl.diagrams import flip
-from uncoiledtl.projectors import (GammaTable, annihilator_rank,
+from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
+                                   annihilator_rank,
                                    build_projector_Q,
                                    build_X, build_Y, build_Z, check_e0Z,
                                    cup_state, gamma_conjecture, gamma_grid,
@@ -545,6 +547,55 @@ def test_oracle_equality_and_rank():
         assert projector_oracle(v, n, r, env).equals(q)
         rank, dim = annihilator_rank(v, n, env)
         assert rank == dim - 1
+
+
+def _annihilator_rows_by_mul(alg, basis):
+    """The constraint rows as built through element products: each basis
+    diagram as a one-term element, multiplied by each generator with mul."""
+    env = alg.env
+    zero, dim = env.zero, len(basis)
+    ops = []
+    for j in range(alg.n if alg.n >= 2 else 0):
+        g = alg.e(j)
+        ops.append(lambda x, g=g: g * x)
+        ops.append(lambda x, g=g: x * g)
+    if alg.variant.kind in AFFINE_KINDS:
+        om, w = alg.omega(), env.omega
+        ops.append(lambda x: om * x - w * x)
+        ops.append(lambda x: x * om - w * x)
+    rows = []
+    for op in ops:
+        cols = {}
+        for j, dia in enumerate(basis):
+            for dd, c in op(alg.from_diagram(dia)).terms.items():
+                cols.setdefault(dd, [zero] * dim)[j] = c
+        rows.extend(cols.values())
+    return rows
+
+
+@pytest.mark.parametrize("kind,n", [
+    (kind, n) for kind in UNCOILED_KINDS
+    for n in sorted(set(legal_sizes(kind, 4))
+                    | ({1} if kind in ("uaTL", "upTL") else set()))])
+def test_annihilator_rows_match_element_products(kind, n, monkeypatch):
+    # the oracle's rows come from single diagram products, never from mul
+    env = sample_env(2, kind, n)
+    alg = Algebra(AlgebraVariant(kind, n), env)
+    basis = basis_enumerate(alg.variant)
+    want = _annihilator_rows_by_mul(alg, basis)
+
+    def no_mul(a, b):
+        raise AssertionError("mul called")
+
+    monkeypatch.setattr(uncoiledtl.algebra, "mul", no_mul)
+    got = _annihilator_rows(alg, basis)
+
+    def sparse(rows):
+        return {frozenset((c, x) for c, x in enumerate(row) if x)
+                for row in rows}
+
+    assert len(got) == len(want)
+    assert sparse(got) == sparse(want)
 
 
 @pytest.mark.parametrize("kind,n", [

@@ -5,7 +5,7 @@ import pytest
 
 from uncoiledtl.algebra import Algebra, AlgebraVariant, ResourceLimitError
 from uncoiledtl.diagrams import DEFECT, LinkState, e, omega
-from uncoiledtl.reps import (StandardModule, act, act_diagram, braid_transfer,
+from uncoiledtl.reps import (StandardModule, act_diagram, braid_transfer,
                              build_central, central_eigenvalue,
                              central_matrix, is_scalar_action, matrix_of)
 from uncoiledtl.scalars import sample_env
@@ -269,15 +269,20 @@ def test_uncoiled_admissibility():
                    for i in range(dim) for j in range(dim))
 
 
-def test_module_vector_algebra(env_atl5):
+def test_matrix_of_is_linear(env_atl5):
     env = env_atl5
     m = StandardModule(5, 1, env.z, env)
-    v = m.vector(m.basis[0])
     alg = Algebra(AlgebraVariant("aTL", 5), env)
-    a = alg.e(1) + 2 * alg.omega()
-    out = act(a, v)
-    parts = act(alg.e(1), v) + act(alg.omega(), v).scaled(2)
-    assert (out - parts).is_zero()
+    e1, om = matrix_of(alg.e(1), m), matrix_of(alg.omega(), m)
+    want = [[x + 2 * y for x, y in zip(row1, row2)]
+            for row1, row2 in zip(e1, om)]
+    assert matrix_of(alg.e(1) + 2 * alg.omega(), m) == want
+
+
+def test_matrix_of_rejects_a_diagram_of_another_size(env_atl5):
+    m = StandardModule(5, 1, env_atl5.z, env_atl5)
+    with pytest.raises(ValueError, match="size mismatch"):
+        matrix_of(e(4, 1), m)
 
 
 def test_module_serialization(env_atl5):
