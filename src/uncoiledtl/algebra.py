@@ -16,8 +16,8 @@ from fractions import Fraction
 from . import diagrams
 from .diagrams import (Diagram, LinkState, link_states, outer_face, sigma_bt,
                        trace_interface)
-from .scalars import (AFFINE_KINDS, ALL_KINDS, EXACT, FLOAT_RTOL,
-                      PERIODIC_KINDS, ParamEnv, gamma_hat)
+from .scalars import (ALL_KINDS, EXACT, FLOAT_RTOL, PERIODIC_KINDS,
+                      ParamEnv, gamma_hat)
 
 DEFAULT_MAX_TERMS = 5_000_000
 
@@ -55,51 +55,49 @@ class AlgebraVariant:
         return self.kind in ("pTL", "TL") + PERIODIC_KINDS
 
     def defect_sectors(self):
-        """The through-line counts d carried by this variant's basis."""
-        n = self.n
-        if self.kind in ("uaTL", "upTL"):
-            return tuple(range(n, 0, -2))
-        if self.kind in ("uaTL1", "upTL1"):
-            return tuple(range(n, -1, -2))
-        if self.kind in ("uaTL2", "upTL2"):
-            return tuple(range(n, 1, -2))
-        if self.kind == "TL":
-            return tuple(range(n, -1, -2))
-        raise InfiniteAlgebraError(f"{self.kind} has unbounded sectors")
+        """The through-line counts d carried by this variant's basis: the
+        sectors whose mid window (``_window``) does not die."""
+        if self.kind in ("aTL", "pTL"):
+            raise InfiniteAlgebraError(f"{self.kind} is infinite-dimensional")
+        return tuple(d for d in range(self.n, -1, -2)
+                     if _window(self.kind, self.n, d) != 0)
 
 
-def _reduce_mid(kind: str, env: ParamEnv, d: int, mid: int):
-    """Fold a middle exponent into its variant window.
-
-    Returns (scalar factor, folded mid), or (0, None) when the term dies.
-    Windows: uaTL-family [0, d) with a factor gamma-hat per full turn; upTL
-    [0, 2d) with gamma^2 per double turn; upTL1/upTL2 [0, d) with
-    gamma-hat per turn (parity is preserved because d is even there).  For
-    d = 0 the mid counts non-contractible loops: they kill the term in the
-    double-starred kinds, weigh alpha each in uaTL1 and alpha per pair in
-    upTL1.  aTL, pTL and TL keep the mid raw.
+def _window(kind: str, n: int, d: int):
+    """The width of sector d's mid window: None where the mid stays raw
+    (aTL, pTL, TL), 0 where the sector dies.  At d > 0, d windings (2d for
+    upTL), but only the identity on n through-lines in the periodic kinds;
+    at d = 0 the mid counts non-contractible loops, which kill the
+    double-starred kinds and fold one at a time in uaTL1, by pairs in upTL1.
     """
     if kind in ("aTL", "pTL", "TL"):
-        return env.one, mid
+        return None
     if d == 0:
-        if kind in ("uaTL2", "upTL2"):
-            return 0, None
-        if kind == "uaTL1":
-            return env.alpha ** mid if mid else env.one, 0
-        if kind == "upTL1":
-            pairs, rem = divmod(mid, 2)
-            return env.alpha ** (2 * pairs) if pairs else env.one, rem
-        raise ValueError(f"{kind} has no d = 0 sector")  # n odd kinds
-    if kind in ("uaTL", "uaTL1", "uaTL2", "upTL1", "upTL2"):
-        window = d
-        per_wrap = gamma_hat(kind, env)
-    elif kind == "upTL":
-        window = 2 * d
-        per_wrap = env.gamma * env.gamma
-    else:
-        raise ValueError(kind)
-    w, m = divmod(mid, window)
-    return per_wrap ** w if w else env.one, m
+        if kind in ("uaTL", "upTL"):
+            raise ValueError(f"{kind} has no d = 0 sector")  # n odd kinds
+        return {"uaTL1": 1, "upTL1": 2}.get(kind, 0)
+    if d == n and kind in PERIODIC_KINDS:
+        return 1
+    return 2 * d if kind == "upTL" else d
+
+
+def _reduce_mid(kind: str, n: int, env: ParamEnv, d: int, mid: int):
+    """Fold a middle exponent into sector d's window (``_window``): returns
+    (scalar factor, folded mid), or (0, None) when the term dies.  A full
+    window weighs alpha^W at d = 0, gamma^2 in upTL, gamma-hat otherwise."""
+    w = _window(kind, n, d)
+    if w is None:
+        return env.one, mid
+    if not w:
+        return 0, None
+    turns, m = divmod(mid, w)
+    if not turns:
+        return env.one, m
+    if d == 0:
+        return env.alpha ** (w * turns), m
+    if kind == "upTL":
+        return (env.gamma * env.gamma) ** turns, m
+    return gamma_hat(kind, env) ** turns, m
 
 
 def reduce(c: Diagram, variant: AlgebraVariant, env: ParamEnv):
@@ -116,14 +114,11 @@ def reduce(c: Diagram, variant: AlgebraVariant, env: ParamEnv):
         raise ValueError("seam-crossing diagram handed to TL")
     if variant.even_only and not c.is_even():
         raise ValueError(f"odd diagram handed to {kind}")
-    d = c.d
-    if d == variant.n and kind in PERIODIC_KINDS:
-        if c.mid != 0:
-            raise ValueError(
-                "a nonzero winding on n through-lines is not an element of "
-                "the periodic algebra")
-        return env.one, c
-    coeff, m = _reduce_mid(kind, env, d, c.mid)
+    if c.d == variant.n and kind in PERIODIC_KINDS and c.mid:
+        raise ValueError(
+            "a nonzero winding on n through-lines is not an element of "
+            "the periodic algebra")
+    coeff, m = _reduce_mid(kind, variant.n, env, c.d, c.mid)
     if m is None:
         return 0, None
     if m == c.mid:
@@ -407,33 +402,20 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _middle_exponents(variant: AlgebraVariant, d: int, sigma: int):
     """The middle exponents of the sector d for a bottom and top of
-    parity sigma = sigma_bt(bottom, top)."""
-    kind, n = variant.kind, variant.n
-    if d == 0:
-        if kind == "uaTL1":
-            return (0,)
-        if kind == "upTL1":
-            return (sigma,)
-        if kind == "TL":
-            return (0,)
-        raise AssertionError("d = 0 reached for a kind without that sector")
-    if kind == "TL":
+    parity sigma = sigma_bt(bottom, top): its window (``_window``), of
+    which the pTL-derived kinds keep the mids of parity sigma.  TL's raw
+    mid is always 0."""
+    w = _window(variant.kind, variant.n, d)
+    if w is None:
         return (0,)
-    if d == n and kind in PERIODIC_KINDS:
-        return (0,)
-    if kind in AFFINE_KINDS:
-        return tuple(range(d))
-    if kind == "upTL":
-        return tuple(sigma + 2 * r for r in range(d))
-    return tuple(sigma + 2 * r for r in range(d // 2))  # upTL1, upTL2
+    return tuple(m for m in range(w)
+                 if not variant.even_only or m % 2 == sigma)
 
 
 def _sandwich_triples(variant: AlgebraVariant):
     """(bottom, top, middle exponents) of the sandwich basis, in
     Diagram.sort_key order: defect_sectors descends, link_states is sorted,
     and the middle exponents ascend."""
-    if variant.kind in ("aTL", "pTL"):
-        raise InfiniteAlgebraError(f"{variant.kind} is infinite-dimensional")
     n = variant.n
     for d in variant.defect_sectors():
         states = link_states(n, d)
@@ -521,7 +503,7 @@ def psi_bilinear(v: LinkState, w: LinkState, variant: AlgebraVariant,
         # diagram mid.
         a, j = links[0]
         mid = a - j
-    factor, m = _reduce_mid(variant.kind, env, d, mid)
+    factor, m = _reduce_mid(variant.kind, variant.n, env, d, mid)
     if m is None:
         return MiddleValue(0, 0, d)
     return MiddleValue(coeff * factor, m, d)

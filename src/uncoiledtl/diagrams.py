@@ -311,19 +311,6 @@ def e(n: int, j: int) -> Diagram:
     return Diagram(v, v, 0)
 
 
-def generator(n: int, name: str) -> Diagram:
-    """Dispatcher used by the CLI: 'id', 'omega', 'omega_inv', or 'e3'."""
-    if name == "id":
-        return identity(n)
-    if name == "omega":
-        return omega(n)
-    if name == "omega_inv":
-        return omega_inv(n)
-    if name.startswith("e"):
-        return e(n, int(name[1:]))
-    raise ValueError(f"unknown generator {name!r}")
-
-
 # -- tracing -----------------------------------------------------------------
 
 _state_pool: dict = {}

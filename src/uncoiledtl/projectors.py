@@ -257,17 +257,24 @@ class GammaTable:
         }
 
 
+def sector_of(kind: str, env, n: int):
+    """The r label realized by an exact env's omega: for uaTL1, omega in
+    {1, -1} realizes exactly the sectors r = 0 and r = n/2."""
+    if kind == "uaTL1":
+        return 0 if env.omega == 1 else n // 2
+    return 0 if kind in AFFINE_KINDS else None
+
+
 def check_sector(variant: AlgebraVariant, r, env: ParamEnv) -> None:
-    """Reject an affine sector label outside 0..n-1.  For uaTL1 over exact
-    rationals, omega in {1, -1} realizes exactly the sectors r = 0 and
-    r = n/2; reject a mismatched label early."""
+    """Reject an affine sector label outside 0..n-1, and for uaTL1 over
+    exact rationals one that ``sector_of`` does not realize."""
     if r is None or variant.kind not in AFFINE_KINDS:
         return
     if not 0 <= r < variant.n:
         raise ValueError(f"sector r={r} outside 0..{variant.n - 1}")
     if variant.kind != "uaTL1" or env.backend != EXACT:
         return
-    want = 0 if env.omega == 1 else variant.n // 2
+    want = sector_of(variant.kind, env, variant.n)
     if r != want:
         raise ValueError(
             f"sector r={r} is inconsistent with omega={env.omega} "
@@ -545,11 +552,11 @@ def build_projector_Q(tbl: GammaTable) -> AlgebraElement:
     eigenprojector Pi_{n,r} spread over P_n Omega^j P_n."""
     alg = Algebra(tbl.variant, tbl.env)
     n = alg.n
-    mid = alg.zero()
-    for (k, l2) in gamma_grid(tbl.variant):
-        coeff = tbl.entries[(k, l2)]
-        if coeff:
-            mid = mid + alg.from_diagram(cup_diagram(n, k, l2), coeff)
+    # the periodic k = 0 row stores zeros at l2 != 0, on wound identities
+    # that reduce rejects
+    mid = alg.element({cup_diagram(n, k, l2): c
+                       for (k, l2) in gamma_grid(tbl.variant)
+                       if (c := tbl.entries[(k, l2)])})
     p = wenzl_jones_P(n, alg)
     return p * mid * p
 

@@ -15,7 +15,7 @@ from .algebra import (Algebra, AlgebraVariant, basis_enumerate,
                       dimension_closed_form, is_idempotent)
 from .projectors import (build_projector_Q, check_e0Z, gamma_residuals,
                          gamma_solve, gamma_table, gamma_table_conjecture,
-                         projector_checks, wenzl_jones_P)
+                         projector_checks, sector_of, wenzl_jones_P)
 from .reps import (StandardModule, build_central, central_eigenvalue,
                    central_matrix, is_scalar_action, is_scalar_matrix,
                    matrix_of)
@@ -26,13 +26,6 @@ from .scalars import (AFFINE_KINDS, STARRED_KINDS, UNCOILED_KINDS, qnum,
 def legal_sizes(kind: str, max_n: int):
     """The sizes n <= max_n the checks build the kind at."""
     return range(3 if kind in ("uaTL", "upTL") else 2, max_n + 1, 2)
-
-
-def sector_of(kind: str, env, n: int):
-    """The r label realized by an exact env's omega."""
-    if kind == "uaTL1":
-        return 0 if env.omega == 1 else n // 2
-    return 0 if kind in AFFINE_KINDS else None
 
 
 def _uncoiled(max_n: int):

@@ -10,7 +10,7 @@ from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
                                 dimension_closed_form, psi_bilinear, reduce)
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, e, identity,
                                  link_states, multiply_raw, omega)
-from uncoiledtl.scalars import ALL_KINDS, sample_env
+from uncoiledtl.scalars import ALL_KINDS, UNCOILED_KINDS, sample_env
 
 D = DEFECT
 
@@ -59,6 +59,62 @@ def test_reduce_idempotent_on_bases():
             for dia in basis_enumerate(v):
                 s, dr = reduce(dia, v, env)
                 assert s == 1 and dr == dia
+
+
+def _paper_window(kind, n, d, env):
+    """(width, weight) of sector d's mids as the paper states them: the
+    width of one window and the scalar a full window folds back with;
+    width 0 where the sector dies, None where only mid 0 lives (TL, and n
+    through-lines in the periodic kinds)."""
+    if kind == "TL" or (d == n and kind.startswith("up")):
+        return None, None
+    if d == 0:
+        return {"uaTL1": (1, env.alpha), "upTL1": (2, env.alpha ** 2),
+                "uaTL2": (0, None), "upTL2": (0, None)}[kind]
+    if kind == "upTL":
+        return 2 * d, env.gamma ** 2
+    return d, 1 if kind in ("uaTL1", "upTL1") else env.gamma
+
+
+@pytest.mark.parametrize("kind", UNCOILED_KINDS + ("TL",))
+def test_reduce_folds_every_mid_onto_the_basis(kind):
+    for n in range(1, 7):
+        try:
+            variant = AlgebraVariant(kind, n)
+        except ValueError:
+            continue
+        env = sample_env(5, variant)
+        basis = set(basis_enumerate(variant))
+        reached = set()
+        for d in range(n % 2, n + 1, 2):
+            width, weight = _paper_window(kind, n, d, env)
+            states = [v for v in link_states(n, d)
+                      if kind != "TL" or not v.crossing_count()]
+            for b in states:
+                for t in states:
+                    sigma = (b.crossing_count() + t.crossing_count()) % 2
+                    if width is None:
+                        s, dr = reduce(Diagram(b, t, 0), variant, env)
+                        assert s == 1 and dr in basis
+                        reached.add(dr)
+                        with pytest.raises(ValueError):
+                            reduce(Diagram(b, t, 2), variant, env)
+                        continue
+                    if width == 0:
+                        for m in range(sigma, 6, 2):
+                            assert reduce(Diagram(b, t, m), variant,
+                                          env) == (0, None)
+                        continue
+                    step = 2 if variant.even_only else 1
+                    start = sigma if d == 0 else sigma - 3 * width
+                    for m in range(start, 3 * width, step):
+                        s, dr = reduce(Diagram(b, t, m), variant, env)
+                        assert s and dr in basis
+                        assert (dr.bottom, dr.top) == (b, t)
+                        reached.add(dr)
+                        assert reduce(Diagram(b, t, m + width), variant,
+                                      env) == (s * weight, dr)
+        assert reached == basis, (kind, n)
 
 
 def test_reduce_rejects_odd_in_periodic():

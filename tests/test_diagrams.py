@@ -247,13 +247,3 @@ def test_art_rendering():
     v = e(5, 0).bottom
     assert v.art() == "<|||>"
     assert "O^1" in omega(3).art()
-
-
-def test_generator_dispatcher():
-    from uncoiledtl.diagrams import generator
-    assert generator(4, "id") == identity(4)
-    assert generator(4, "omega") == omega(4)
-    assert generator(4, "omega_inv") == omega_inv(4)
-    assert generator(4, "e3") == e(4, 3)
-    with pytest.raises(ValueError):
-        generator(4, "nosuch")
