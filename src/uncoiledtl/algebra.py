@@ -487,6 +487,8 @@ def psi_bilinear(v: LinkState, w: LinkState, variant: AlgebraVariant,
     therefore psi_d(upper bottom-state, lower top-state)."""
     if v.n != w.n:
         raise ValueError("size mismatch")
+    if v.n != variant.n:
+        raise ValueError("diagram size does not match the variant")
     if v.d != w.d:
         raise ValueError("defect-count mismatch")
     d = v.d

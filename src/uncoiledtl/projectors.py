@@ -8,9 +8,11 @@ coefficient recurrence (one layer per k) is the discrete operator
 S + S^-1 - (q^n + q^-n) on the cycles l2 -> l2 + 2 of that twisted-periodic
 grid: one ring through every row for n odd, one per parity for n even.
 Its inverse on a cycle is the closed-form kernel J, which the solver
-convolves with the lower layers; a separate residual checker evaluates the
-linear constraints verbatim, and a linear-system oracle rebuilds the
-projector from nothing but annihilation and normalization.
+convolves with the lower layers; J(ell) = a x^|ell| + b x^-|ell| with
+x = q^n, so the convolution of a ring is four running sums.  A separate
+residual checker evaluates the linear constraints verbatim, and a
+linear-system oracle rebuilds the projector from nothing but annihilation
+and normalization.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import groupby
+from operator import itemgetter
 
 from . import diagrams, linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
@@ -288,32 +292,40 @@ def gamma_initial(variant: AlgebraVariant, r, env: ParamEnv, k0_l2: int):
     return env.one if k0_l2 == 0 else 0
 
 
-def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
-             env: ParamEnv):
-    """The convolution kernel J of layer k on a cycle l2 -> l2 + 2.
+def _kernel_parts(variant: AlgebraVariant, n: int, k: int, env: ParamEnv):
+    """(size, x, parts): the kernel J of layer k in closed form,
+    J(ell) = a x^|ell| + b x^-|ell| with x = q^n and (a, b) = parts[ell < 0].
 
-    The cycle closes after turns = 1 (n even) or 2 (n odd) windows of
-    2 m_k, on size = turns * m_k points, and picks up gamma_hat^turns; for
-    n odd this is J-tilde, J with gamma_hat -> gamma_hat^2 and
-    m_k -> 2 m_k.  ell2 is the doubled argument; the kernel only ever takes
-    integer arguments, so ell2 must be even, and |ell2 / 2| <= 2 size.
+    J lives on a cycle l2 -> l2 + 2, which closes after turns = 1 (n even)
+    or 2 (n odd) windows of 2 m_k, on size = turns * m_k points, and picks
+    up gamma_hat^turns; for n odd this is J-tilde, J with
+    gamma_hat -> gamma_hat^2 and m_k -> 2 m_k.
     """
-    if ell2 % 2:
-        raise ValueError("kernel argument must be an integer (even ell2)")
-    ell = ell2 // 2
-    q = env.q
     mk2 = n - 2 * k
     turns = 2 if mk2 % 2 else 1
     size = mk2 * turns // 2
+    tw = gamma_hat(variant.kind, env) ** turns
+    x = env.q ** n
+    pref = -1 / (x - 1 / x)
+    xe = x ** size
+    parts = tuple((pref / (t * xe - 1), -pref / (t / xe - 1))
+                  for t in (1 / tw, tw))
+    return size, x, parts
+
+
+def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
+             env: ParamEnv):
+    """The convolution kernel J of layer k at ell = ell2 / 2 (see
+    _kernel_parts).  The kernel only ever takes integer arguments, so ell2
+    must be even, and |ell| <= 2 size."""
+    if ell2 % 2:
+        raise ValueError("kernel argument must be an integer (even ell2)")
+    ell = ell2 // 2
+    size, x, parts = _kernel_parts(variant, n, k, env)
     if abs(ell) > 2 * size:
         raise ValueError("kernel argument out of range")
-    tw = gamma_hat(variant.kind, env) ** turns
-    pref = -1 / (q ** n - q ** (-n))
-    e = n * size
-    den_plus = (1 / tw if ell >= 0 else tw) * q ** e - 1
-    den_minus = (1 / tw if ell >= 0 else tw) * q ** (-e) - 1
-    a = abs(ell)
-    return pref * (q ** (n * a) / den_plus - q ** (-n * a) / den_minus)
+    a, b = parts[ell < 0]
+    return a * x ** abs(ell) + b * x ** -abs(ell)
 
 
 def _row_lower_part(tbl: GammaTable, num, n: int, k: int, l2: int):
@@ -386,7 +398,11 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     every row, for n even one per parity (the even one alone for the
     periodic kinds, whose odd rows vanish).  On a cycle the row at l2 is
     rows[l2 mod 2 m_k] / gamma_hat^(l2 div 2 m_k), the kernel J inverts the
-    operator, and each result is stored through _fold.
+    operator, and each result is stored through _fold.  Since
+    J(ell) = a x^|ell| + b x^-|ell| with (a, b) fixed by the sign of ell,
+    the convolution of a ring of m points is four running sums, two swept
+    backwards (the offsets ell >= 0) and two forwards (ell < 0): O(m)
+    products instead of m^2.
     """
     if env is None:
         raise ValueError("an environment is required")
@@ -402,27 +418,31 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     for k in range(1, (n - 1) // 2 + 1):
         mk2 = n - 2 * k
         rows = [_row_lower_part(tbl, num, n, k, l2) for l2 in range(mk2)]
-        inv_f2 = -1 / f2(num, n, k)
-        turns = 2 if mk2 % 2 else 1
-        size = mk2 * turns // 2
-        # the kernel depends on the offset l2' - l2 only: one per offset
-        kern = {2 * e: kernel_J(variant, n, k, 2 * e, env)
-                for e in range(1 - size, size)}
+        size, x, parts = _kernel_parts(variant, n, k, env)
+        c = -1 / f2(num, n, k)
+        (ap, bp), (am, bm) = ((c * a, c * b) for a, b in parts)
+        xi = 1 / x
         starts = (0,)
-        if turns == 1 and kind in AFFINE_KINDS:
+        if mk2 % 2 == 0 and kind in AFFINE_KINDS:
             starts = (0, 1)
-        elif turns == 1 and any(rows[1::2]):
+        elif mk2 % 2 == 0 and any(rows[1::2]):
             raise AssertionError("odd rows must vanish for periodic kinds")
         for start in starts:
-            ring = range(start, start + turns * mk2, 2)
+            ring = range(start, start + 2 * size, 2)
             rhs = [rows[l2 % mk2] / gh ** (l2 // mk2) for l2 in ring]
-            for l2 in ring:
-                acc = 0
-                for l2p, b in zip(ring, rhs):
-                    if b:
-                        acc = acc + kern[l2p - l2] * b
+            # acc[i] = sum over j of J(j - i) rhs[j], split at j = i
+            acc = [0] * size
+            u = v = 0
+            for i in range(size - 1, -1, -1):
+                u, v = rhs[i] + x * u, rhs[i] + xi * v
+                acc[i] = ap * u + bp * v
+            u = v = 0
+            for i in range(1, size):
+                u, v = x * (u + rhs[i - 1]), xi * (v + rhs[i - 1])
+                acc[i] = acc[i] + am * u + bm * v
+            for l2, a in zip(ring, acc):
                 s, w = _fold(kind, n, k, l2)
-                tbl.entries[(k, s)] = gh ** w * (inv_f2 * acc)
+                tbl.entries[(k, s)] = gh ** w * a
     if kind in STARRED_KINDS:
         lead, rest = _starred_row(tbl, num, n)
         tbl.entries[(n // 2, 0)] = -rest / lead
@@ -436,8 +456,8 @@ def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
     """The closed triple-sum formulas for Gamma_{k, l}."""
     if env is None:
         raise ValueError("an environment is required")
-    return _conjecture_entry(variant, n, k, ell2, r, env,
-                             qladder(2 * n + 2 + abs(ell2), env))
+    ladder = qladder(2 * n + 2 + abs(ell2), env)
+    return _conjecture_layer(variant, n, k, r, env, ladder)(ell2)
 
 
 def _rising_over_factorial(ladder: QLadder, start: int, count: int) -> list:
@@ -452,47 +472,31 @@ def _rising_over_factorial(ladder: QLadder, start: int, count: int) -> list:
     return out
 
 
-def _conjecture_entry(variant, n, k, ell2, r, env, ladder: QLadder):
-    """gamma_conjecture with every q-number read from ``ladder``; [2n + 2]
-    covers the grid, [2n + 2 + |ell2|] any ell2."""
+def _conjecture_layer(variant, n, k, r, env, ladder: QLadder):
+    """ell2 -> gamma_conjecture of layer k, with every q-number read from
+    ``ladder`` ([2n + 2] covers the grid, [2n + 2 + |ell2|] any ell2) and
+    every factor that does not depend on ell2 computed once for the layer."""
     kind = variant.kind
     q = env.q
     num, fact = ladder.num, ladder.fact
     if k == 0:
-        return gamma_initial(variant, r, env, ell2)
+        return lambda ell2: gamma_initial(variant, r, env, ell2)
     if 2 * k == n and kind in STARRED_KINDS:
-        if ell2 != 0:
-            raise ValueError("the k = n/2 coefficient only exists at l = 0")
-        half, full = num[n // 2], num[n]
-        base = (q - 1 / q) ** (n - 2) * fact[(n - 2) // 2] ** 2
-        if kind == "upTL1":
-            return -full * half / (base * (env.alpha ** 2 * half ** 2
-                                           - full ** 2))
-        if r is None:
-            raise ValueError("uaTL1 needs the sector label r")
-        if r == 0:
-            return -half / (2 * base * (env.alpha * half - full))
-        if r == n // 2:
-            return half / (2 * base * (env.alpha * half + full))
-        return 0
+        return lambda ell2: _starred_conjecture(kind, n, r, env, ladder, ell2)
     mk2 = n - 2 * k
     pref = 1 / ((q - 1 / q) ** (2 * k - 1) * num[k] * fact[k - 1] ** 2)
     # One triple sum for every kind.  They differ in the twist of den and
     # the scale of its exponent, den = twist q^(+-scale (n - 2(k - kap))) - 1,
     # in the power q^(+-(base + slope kap + n tau)), and in the offsets lo,
     # hi of the two q-number products.
-    lo, hi = mk2 - ell2, ell2
-    base, slope = n * ell2 // 2, 0
-    if kind in AFFINE_KINDS:
-        w = env.omega
-        pref = pref * w ** (-ell2) / n
-        twist, scale, base, slope = w * w, 1, ell2 * k, -ell2
+    affine = kind in AFFINE_KINDS
+    if affine:
+        pref = pref / n
+        twist, scale = env.omega * env.omega, 1
     elif kind in ("upTL1", "upTL2"):
         twist, scale = gamma_hat(kind, env), n // 2
     elif kind == "upTL":
         twist, scale = env.gamma * env.gamma, n
-        if ell2 >= mk2:  # l >= m_k + 1/2
-            slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
     else:
         raise ValueError(f"no conjecture formula for {kind}")
     # Term (kap, tau) of the sum is
@@ -500,27 +504,65 @@ def _conjecture_entry(variant, n, k, ell2, r, env, ladder: QLadder):
     #   * qbinom(k-1, kap) / ([n-k]...[n-k+kap-1])
     #   * qbinom(kap, tau) [lo]...[lo+kap-tau-1] [hi]...[hi+tau-1].
     # The last line is [kap]! a[kap - tau] b[tau]; with [kap]! moved into
-    # the line above, all but q^(sigma n tau) a[kap - tau] b[tau] is one
-    # factor per (sigma, kap), lead.
-    a = _rising_over_factorial(ladder, lo, k)
-    b = _rising_over_factorial(ladder, hi, k)
-    coeffs = [[a[kap - tau] * b[tau] for tau in range(kap + 1)]
-              for kap in range(k)]
-    total = 0
+    # the line above, all but q^(sigma (base + slope kap + n tau))
+    # a[kap - tau] b[tau] is one factor per (sigma, kap), lead, and the
+    # same for every ell2 of the layer.
+    leads = {}
     for sigma in (1, -1):
-        step = q ** (sigma * n)
         outer = sigma * fact[k - 1] * fact[n - k - 1]
-        for kap in range(k):
-            den = twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1
-            lead = outer * q ** (sigma * (base + slope * kap)) / (
-                den * fact[n - k - 1 + kap] * fact[k - 1 - kap])
-            # sum over tau of q^(+-n tau) coeffs[kap][tau], by Horner
-            row = coeffs[kap]
-            inner = row[kap]
-            for tau in range(kap - 1, -1, -1):
-                inner = inner * step + row[tau]
-            total = total + (-lead if kap % 2 else lead) * inner
-    return pref * total
+        leads[sigma] = [
+            (-outer if kap % 2 else outer)
+            / ((twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1)
+               * fact[n - k - 1 + kap] * fact[k - 1 - kap])
+            for kap in range(k)]
+    steps = {sigma: q ** (sigma * n) for sigma in (1, -1)}
+    rising = lru_cache(maxsize=None)(
+        lambda start: _rising_over_factorial(ladder, start, k))
+
+    def entry(ell2):
+        lo, hi = mk2 - ell2, ell2
+        base, slope = n * ell2 // 2, 0
+        if affine:
+            base, slope = ell2 * k, -ell2
+        elif kind == "upTL" and ell2 >= mk2:  # l >= m_k + 1/2
+            slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
+        a, b = rising(lo), rising(hi)
+        coeffs = [[a[kap - tau] * b[tau] for tau in range(kap + 1)]
+                  for kap in range(k)]
+        total = 0
+        for sigma in (1, -1):
+            step = steps[sigma]
+            power, ratio = q ** (sigma * base), q ** (sigma * slope)
+            for lead, row in zip(leads[sigma], coeffs):
+                # sum over tau of q^(+-n tau) row[tau], by Horner
+                inner = row[-1]
+                for tau in range(len(row) - 2, -1, -1):
+                    inner = inner * step + row[tau]
+                total = total + lead * power * inner
+                power = power * ratio
+        if affine:
+            return pref * env.omega ** (-ell2) * total
+        return pref * total
+    return entry
+
+
+def _starred_conjecture(kind, n, r, env, ladder: QLadder, ell2):
+    """The starred coefficient Gamma_{n/2, 0}."""
+    if ell2 != 0:
+        raise ValueError("the k = n/2 coefficient only exists at l = 0")
+    q = env.q
+    half, full = ladder.num[n // 2], ladder.num[n]
+    base = (q - 1 / q) ** (n - 2) * ladder.fact[(n - 2) // 2] ** 2
+    if kind == "upTL1":
+        return -full * half / (base * (env.alpha ** 2 * half ** 2
+                                       - full ** 2))
+    if r is None:
+        raise ValueError("uaTL1 needs the sector label r")
+    if r == 0:
+        return -half / (2 * base * (env.alpha * half - full))
+    if r == n // 2:
+        return half / (2 * base * (env.alpha * half + full))
+    return 0
 
 
 def gamma_table_conjecture(variant: AlgebraVariant, n: int, r=None,
@@ -528,9 +570,10 @@ def gamma_table_conjecture(variant: AlgebraVariant, n: int, r=None,
     check_sector(variant, r, env)
     tbl = GammaTable(variant, n, r, env)
     ladder = qladder(2 * n + 2, env)
-    for (k, l2) in gamma_grid(variant):
-        tbl.entries[(k, l2)] = _conjecture_entry(variant, n, k, l2, r, env,
-                                                 ladder)
+    for k, keys in groupby(gamma_grid(variant), key=itemgetter(0)):
+        entry = _conjecture_layer(variant, n, k, r, env, ladder)
+        for _, l2 in keys:
+            tbl.entries[(k, l2)] = entry(l2)
     return tbl
 
 

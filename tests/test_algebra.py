@@ -457,6 +457,17 @@ def test_psi_defect_mismatch():
                      AlgebraVariant("uaTL", 5), env)
 
 
+def test_psi_size_must_match_the_variant():
+    # states of another size would be folded by that size's window
+    env = sample_env(3, "uaTL", 5)
+    for m in (3, 7):
+        v = link_states(m, 1)[0]
+        with pytest.raises(ValueError, match="does not match the variant"):
+            psi_bilinear(v, v, AlgebraVariant("uaTL", 5), env)
+    v = link_states(5, 1)[0]
+    psi_bilinear(v, v, AlgebraVariant("uaTL", 5), env)
+
+
 def test_element_serialization():
     env = sample_env(3, "upTL1", 4)
     alg = Algebra(AlgebraVariant("upTL1", 4), env)

@@ -8,7 +8,8 @@ import pytest
 import uncoiledtl.algebra
 from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
 from uncoiledtl.diagrams import flip
-from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
+from uncoiledtl.projectors import (GammaTable, _annihilator_rows, _fold,
+                                   _row_lower_part, _starred_row, f2,
                                    annihilator_rank,
                                    build_projector_Q,
                                    build_X, build_Y, build_Z, check_e0Z,
@@ -18,9 +19,12 @@ from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
                                    gamma_table_conjecture, kernel_J,
                                    projector_certificate, projector_oracle,
                                    wenzl_jones_P)
-from uncoiledtl.scalars import (AFFINE_KINDS, STARRED_KINDS, UNCOILED_KINDS,
-                                gamma_hat, qbinom, qfact, qnum, sample_env)
+from uncoiledtl.scalars import (AFFINE_KINDS, FLOAT_RTOL, STARRED_KINDS,
+                                UNCOILED_KINDS, gamma_hat, qbinom, qfact,
+                                qladder, qnum, sample_env)
 from uncoiledtl.selfcheck import legal_sizes, sector_of
+
+from test_acceptance import _float_env_on_circle
 
 
 # -- P_m ------------------------------------------------------------------
@@ -319,6 +323,71 @@ def test_conjecture_matches_term_by_term_reference():
             assert gamma_conjecture(v, n, k, l2, r, env) == want
             cases += 1
     assert cases > 1000
+
+
+def _gamma_solve_reference(variant, n, r, env):
+    """gamma_solve with each ring convolved directly: one kernel_J value
+    per offset and one product per pair of ring points, the O(m^2)
+    reference the running-sum sweep must reproduce."""
+    tbl = GammaTable(variant, n, r, env)
+    kind = variant.kind
+    gh = gamma_hat(kind, env)
+    num = qladder(2 * n + 2, env).num
+    for (k, l2) in gamma_grid(variant):
+        if k == 0:
+            tbl.entries[(0, l2)] = gamma_initial(variant, r, env, l2)
+    for k in range(1, (n - 1) // 2 + 1):
+        mk2 = n - 2 * k
+        rows = [_row_lower_part(tbl, num, n, k, l2) for l2 in range(mk2)]
+        turns = 2 if mk2 % 2 else 1
+        size = mk2 * turns // 2
+        kern = {2 * e: kernel_J(variant, n, k, 2 * e, env)
+                for e in range(1 - size, size)}
+        starts = (0, 1) if turns == 1 and kind in AFFINE_KINDS else (0,)
+        for start in starts:
+            ring = range(start, start + turns * mk2, 2)
+            rhs = [rows[l2 % mk2] / gh ** (l2 // mk2) for l2 in ring]
+            for l2 in ring:
+                acc = 0
+                for l2p, b in zip(ring, rhs):
+                    acc = acc + kern[l2p - l2] * b
+                s, w = _fold(kind, n, k, l2)
+                tbl.entries[(k, s)] = gh ** w * (-acc / f2(num, n, k))
+    if kind in STARRED_KINDS:
+        lead, rest = _starred_row(tbl, num, n)
+        tbl.entries[(n // 2, 0)] = -rest / lead
+    return tbl
+
+
+def test_solver_sweep_matches_direct_convolution_reference():
+    cases = 0
+    for v, r, env in _conjecture_cases(16, seeds=(0, 1, 2)):
+        got = gamma_solve(v, v.n, r, env).entries
+        assert got == _gamma_solve_reference(v, v.n, r, env).entries, \
+            (v.kind, v.n, r)
+        cases += len(got)
+    assert cases > 1000
+    # every r sector of the affine kinds at acceptance criterion 04's
+    # complex unit-circle points, within the float tolerance
+    sectors = 0
+    for kind in AFFINE_KINDS:
+        for n in legal_sizes(kind, 14):
+            v = AlgebraVariant(kind, n)
+            for seed in (0, 1, 2):
+                base = _float_env_on_circle(seed, n)
+                gamma = base.gamma if kind != "uaTL1" else complex(1)
+                for r in range(n):
+                    w = gamma ** (1.0 / n) * cmath.exp(2j * cmath.pi * r / n)
+                    env = base.with_omega(w, n)
+                    got = gamma_solve(v, n, r, env).entries
+                    want = _gamma_solve_reference(v, n, r, env).entries
+                    scale = max(1.0, max(abs(x) for x in want.values()))
+                    assert got.keys() == want.keys()
+                    for key, x in want.items():
+                        assert abs(got[key] - x) <= FLOAT_RTOL * scale, \
+                            (kind, n, seed, r, key)
+                    sectors += 1
+    assert sectors > 300
 
 
 def _gamma_grid_reference(variant):
