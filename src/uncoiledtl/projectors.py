@@ -3,16 +3,21 @@
 A Gamma table stores each layer k on one window of l2 = 2l and recovers
 every other entry through the window convention
 Gamma_{k, l + m_k} = gamma_hat^-1 Gamma_{k, l}; ``_fold`` is that
-convention, read by the table lookup, the grid and the solver alike.  The
-coefficient recurrence (one layer per k) is the discrete operator
-S + S^-1 - (q^n + q^-n) on the cycles l2 -> l2 + 2 of that twisted-periodic
-grid: one ring through every row for n odd, one per parity for n even.
-Its inverse on a cycle is the closed-form kernel J, which the solver
-convolves with the lower layers; J(ell) = a x^|ell| + b x^-|ell| with
-x = q^n, so the convolution of a ring is four running sums.  A separate
-residual checker evaluates the linear constraints verbatim, and a
-linear-system oracle rebuilds the projector from nothing but annihilation
-and normalization.
+convention, read by the table lookup, the grid and the solver alike.
+
+The coefficient recurrence is the transpose of the e_0 Z expansion: e_0 Q =
+sum Gamma_{k,l} e_0 Z_{k,l} = 0, with each e_0 Z_{k,l} expanded into X
+objects (``_e0Z_layer``, the one statement of the expansion, which
+``check_e0Z`` verifies in the algebra), and the coefficient of each
+X_{k,l} collected.  Within a layer k the recurrence is the discrete
+operator S + S^-1 - (q^n + q^-n) on the cycles l2 -> l2 + 2 of the
+twisted-periodic grid: one ring through every row for n odd, one per parity
+for n even.  Its inverse on a cycle is the closed-form kernel J, which the
+solver convolves with what the lower layers scatter onto the layer;
+J(ell) = a x^|ell| + b x^-|ell| with x = q^n, so the convolution of a ring
+is four running sums.  The residual checker scatters every layer of a table
+onto every row, and a linear-system oracle rebuilds the projector from
+nothing but annihilation and normalization.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import diagrams, linalg
-from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
+from .algebra import (Algebra, AlgebraElement, AlgebraVariant, _reduce_mid,
                       basis_enumerate, is_idempotent, reduce)
 from .diagrams import DEFECT, Diagram, LinkState, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
@@ -143,48 +148,45 @@ def build_Y(alg: Algebra, k: int, l2: int) -> AlgebraElement:
     return lower * c * wenzl_jones_P(n, alg)
 
 
-# -- the f coefficients of the expansion --------------------------------------
-#
-# Each takes num, the q-numbers [0], [1], ..., [2n] of a ladder.
+# -- the e_0 Z expansion --------------------------------------------------------
 
-def _fD(num, n):
-    return num[n - 1] * num[n]
+def _e0Z_layer(kind: str, num, n: int, k: int, alpha):
+    """(f2, rows) for layer k of the e_0 Z expansion: rows[l2] lists the
+    terms (c, k', l2') of e_0 Z_{k,l} = sum c X_{k',l'} for every l2 of the
+    layer, [0, n - 2k) or l2 = 0 alone at k = n/2, and f2 is the coefficient
+    of X_{k, l2 +- 2}.  num holds the q-numbers [0], [1], ..., [2n].
 
-
-def f1(num, n, k):
-    return -(num[n - k] * num[k] * num[2 * n] / (_fD(num, n) * num[n]))
-
-
-def f2(num, n, k):
-    return num[n - k] * num[k] / _fD(num, n)
-
-
-def f3a(num, n, k, l2):
-    return num[n - k] * num[n - k - l2 - 1] / _fD(num, n)
-
-
-def f3b(num, n, k, l2):
-    return num[k + l2] * num[k + 1] / _fD(num, n)
-
-
-def f4a(num, n, k, l2):
-    return num[n - k - 1] * num[k + l2] / _fD(num, n)
-
-
-def f4b(num, n, k, l2):
-    return num[n - k - l2 + 1] * num[k] / _fD(num, n)
-
-
-def f5(num, n, k, l2):
-    return num[n - k - l2] * num[k + l2] / _fD(num, n)
-
-
-def f3(num, n, k, l2):
-    return f3a(num, n, k, l2) + f3b(num, n, k, l2)
-
-
-def f4(num, n, k, l2):
-    return f4a(num, n, k, l2) + f4b(num, n, k, l2)
+    X objects with 2k' > n do not exist and are left out.  The starred kinds
+    use their own displayed relations for k = (n-2)/2 and n/2.
+    """
+    d = num[n - 1] * num[n]
+    f1 = -(num[n - k] * num[k] * num[2 * n] / (d * num[n]))
+    f2 = num[n - k] * num[k] / d
+    if kind in STARRED_KINDS and 2 * k >= n - 2:
+        half2 = num[n // 2] ** 2
+        if 2 * k == n:
+            return f2, [[((alpha ** 2 * half2 - num[n] ** 2) / d, k, 0)]]
+        return f2, [[(f1 + 2 * f2, k, l2), (x * half2 / d, k + 1, 0)]
+                    for l2, x in enumerate((num[2], alpha))]
+    mk2 = n - 2 * k
+    rows = []
+    for l2 in range(mk2):
+        terms = [(f1, k, l2), (f2, k, l2 - 2), (f2, k, l2 + 2)]
+        if 2 * k + 2 <= n:
+            # f3 = f3a + f3b, without f3a on the last row of the layer
+            c3 = num[k + l2] * num[k + 1]
+            if l2 != mk2 - 1:
+                c3 = c3 + num[n - k] * num[n - k - l2 - 1]
+            terms.append((c3 / d, k + 1, l2))
+            if l2:  # f4 = f4a + f4b, without f4b at l2 = 1
+                c4 = num[n - k - 1] * num[k + l2]
+                if l2 != 1:
+                    c4 = c4 + num[n - k - l2 + 1] * num[k]
+                terms.append((c4 / d, k + 1, l2 - 2))
+        if 2 * k + 4 <= n and l2 not in (0, 1, mk2 - 1):  # f5
+            terms.append((num[n - k - l2] * num[k + l2] / d, k + 2, l2 - 2))
+        rows.append(terms)
+    return f2, rows
 
 
 # -- Gamma tables --------------------------------------------------------------
@@ -328,75 +330,83 @@ def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
     return a * x ** abs(ell) + b * x ** -abs(ell)
 
 
-def _row_lower_part(tbl: GammaTable, num, n: int, k: int, l2: int):
-    """Everything in the constraint row (k, l = l2/2) except the layer-k terms.
-
-    The delta corrections fold the out-of-window neighbours back into the
-    grid.  At the top layer of an odd n (window m_k = 1/2) the half-odd row
-    does not exist and its f3b correction wraps once more onto row 0,
-    picking up an extra twist factor; that reading is pinned down by the
-    oracle equality and the conjecture formulas.
-    """
-    ev = tbl.eval
-    mk2 = n - 2 * k
-    out = f3(num, n, k - 1, l2) * ev(k - 1, l2) \
-        + f4(num, n, k - 1, l2 + 2) * ev(k - 1, l2 + 2)
-    if k >= 2:
-        out = out + f5(num, n, k - 2, l2 + 2) * ev(k - 2, l2 + 2)
-    if l2 == 0:
-        out = out + f3(num, n, k - 1, mk2) * ev(k - 1, -2)
-        if k >= 2:
-            out = out + f5(num, n, k - 2, mk2 + 2) * ev(k - 2, -2)
-    if l2 == 1:
-        out = out + f3b(num, n, k - 1, mk2 + 1) * ev(k - 1, -1)
-    if mk2 == 1 and l2 == 0:
-        gh = gamma_hat(tbl.variant.kind, tbl.env)
-        out = out + gh * f3b(num, n, k - 1, mk2 + 1) * ev(k - 1, -1)
-    if l2 == mk2 - 1:
-        out = out + f4a(num, n, k - 1, 1) * ev(k - 1, mk2 + 3)
-    return out
+def _folded_layer(tbl: GammaTable, num, k: int):
+    """(f2, rows) of ``_e0Z_layer`` at layer k, each term folded onto the
+    row (k', s) of the recurrence that collects X_{k', s}: rows[l2] lists
+    ((k', s), coefficient), zero terms left out.  X_{k', l2'} =
+    gamma_hat^w X_{k', s} with w, s = divmod(l2', n - 2k'), and at 2k' = n
+    it folds by the d = 0 window of ``_reduce_mid``, which kills it in the
+    double-starred kinds."""
+    kind, n, env = tbl.variant.kind, tbl.n, tbl.env
+    gh = gamma_hat(kind, env)
+    f2, rows = _e0Z_layer(kind, num, n, k, env.alpha)
+    folded = []
+    for terms in rows:
+        out = []
+        for c, kk, l2 in terms:
+            if 2 * kk < n:
+                w, s = divmod(l2, n - 2 * kk)
+                weight = gh ** w
+            else:
+                weight, s = _reduce_mid(kind, n, env, 0, abs(l2))
+            if c and weight:
+                out.append(((kk, s), c * weight))
+        folded.append(out)
+    return f2, folded
 
 
-def _starred_row(tbl: GammaTable, num, n: int):
-    """(lead, rest) of the starred constraint row k = n/2, which reads
-    lead * Gamma_{n/2, 0} + rest = 0 with rest over the lower layers."""
-    alpha = tbl.env.alpha
-    half = num[n // 2]
-    d = _fD(num, n)
-    lead = (alpha ** 2 * half ** 2 - num[n] ** 2) / d
-    rest = half ** 2 / d * (num[2] * tbl.eval((n - 2) // 2, 0)
-                            + alpha * tbl.eval((n - 2) // 2, 1))
-    if n >= 4:
-        rest = rest + f5(num, n, (n - 4) // 2, 2) * tbl.eval((n - 4) // 2, 2)
-    return lead, rest
+def _scatter(tbl: GammaTable, k: int, layer, rows: dict, lowest: int = 0):
+    """Add Gamma_{k, l2} c onto rows[(k', s)] for each folded term
+    ((k', s), c) of layer k (``_folded_layer``) with k' >= lowest.  Every l2
+    of the layer is a source, its Gamma read through GammaTable.eval."""
+    for l2, terms in enumerate(layer):
+        g = tbl.eval(k, l2)
+        if not g:
+            continue
+        for key, c in terms:
+            if key[0] >= lowest:
+                rows[key] = rows.get(key, 0) + g * c
+
+
+def _top_layer(kind: str, n: int) -> int:
+    """The last layer k of a Gamma table: n/2 for the starred kinds."""
+    return n // 2 if kind in STARRED_KINDS else (n - 1) // 2
 
 
 def gamma_residuals(tbl: GammaTable) -> dict:
-    """Exact residuals of every linear constraint the table must satisfy."""
-    variant, n, env = tbl.variant, tbl.n, tbl.env
-    num = qladder(2 * n + 2, env).num
-    out = {}
-    for k in range(1, (n - 1) // 2 + 1):
-        mk2 = n - 2 * k
-        for l2 in range(mk2):
-            r = f1(num, n, k) * tbl.eval(k, l2) \
-                + f2(num, n, k) * (tbl.eval(k, l2 - 2) + tbl.eval(k, l2 + 2)) \
-                + _row_lower_part(tbl, num, n, k, l2)
-            out[(k, l2)] = r
-    if variant.kind in STARRED_KINDS:
-        lead, rest = _starred_row(tbl, num, n)
-        out[(n // 2, 0)] = lead * tbl.eval(n // 2, 0) + rest
+    """Exact residuals of every linear constraint the table must satisfy:
+    the coefficient of each X_{k,l} (k >= 1) in e_0 Q = sum Gamma_{k,l}
+    e_0 Z_{k,l}, the e_0 Z expansion scattered from every layer."""
+    n = tbl.n
+    kind = tbl.variant.kind
+    out = {(k, l2): 0 for k in range(1, (n - 1) // 2 + 1)
+           for l2 in range(n - 2 * k)}
+    if kind in STARRED_KINDS:
+        out[(n // 2, 0)] = 0
+    if not out:  # no X object; at n = 1, [n - 1] = 0
+        return out
+    num = qladder(2 * n + 2, tbl.env).num
+    for k in range(_top_layer(kind, n) + 1):
+        _scatter(tbl, k, _folded_layer(tbl, num, k)[1], out)
     return out
+
+
+def _check_size(variant: AlgebraVariant, n: int) -> None:
+    if n != variant.n:
+        raise ValueError("n does not match the variant")
 
 
 def gamma_solve(variant: AlgebraVariant, n: int, r=None,
                 env: ParamEnv | None = None) -> GammaTable:
     """Triangular solve in k via the kernel convolution.
 
-    Layer k couples l2 to l2 +- 2 only, so it splits into the cycles
-    l2 -> l2 + 2: for n odd one ring l2 = 0, 2, ..., 2(2 m_k - 1) through
-    every row, for n even one per parity (the even one alone for the
-    periodic kinds, whose odd rows vanish).  On a cycle the row at l2 is
+    Each layer, once solved, is scattered through the e_0 Z expansion onto
+    the rows of the layers above it, so a layer's right-hand side is what
+    has been scattered onto it.  Layer k couples l2 to l2 +- 2 only, so it
+    splits into the cycles l2 -> l2 + 2: for n odd one ring
+    l2 = 0, 2, ..., 2(2 m_k - 1) through every row, for n even one per
+    parity (the even one alone for the periodic kinds, whose odd rows
+    vanish).  On a cycle the row at l2 is
     rows[l2 mod 2 m_k] / gamma_hat^(l2 div 2 m_k), the kernel J inverts the
     operator, and each result is stored through _fold.  Since
     J(ell) = a x^|ell| + b x^-|ell| with (a, b) fixed by the sign of ell,
@@ -404,6 +414,7 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     backwards (the offsets ell >= 0) and two forwards (ell < 0): O(m)
     products instead of m^2.
     """
+    _check_size(variant, n)
     if env is None:
         raise ValueError("an environment is required")
     validate_env(env, variant, n)
@@ -415,11 +426,21 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     for (k, l2) in gamma_grid(variant):
         if k == 0:
             tbl.entries[(0, l2)] = gamma_initial(variant, r, env, l2)
-    for k in range(1, (n - 1) // 2 + 1):
+    top = _top_layer(kind, n)
+    scattered = {}
+    # at n = 1 there is no layer above 0, and [n - 1] = 0
+    layer = _folded_layer(tbl, num, 0)[1] if top else None
+    for k in range(1, top + 1):
+        _scatter(tbl, k - 1, layer, scattered, k)
+        f2, layer = _folded_layer(tbl, num, k)
+        if 2 * k == n:  # the starred top entry
+            (key, c), = layer[0]
+            tbl.entries[key] = -scattered.get(key, 0) / c
+            continue
         mk2 = n - 2 * k
-        rows = [_row_lower_part(tbl, num, n, k, l2) for l2 in range(mk2)]
+        rows = [scattered.get((k, l2), 0) for l2 in range(mk2)]
         size, x, parts = _kernel_parts(variant, n, k, env)
-        c = -1 / f2(num, n, k)
+        c = -1 / f2
         (ap, bp), (am, bm) = ((c * a, c * b) for a, b in parts)
         xi = 1 / x
         starts = (0,)
@@ -443,9 +464,6 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
             for l2, a in zip(ring, acc):
                 s, w = _fold(kind, n, k, l2)
                 tbl.entries[(k, s)] = gh ** w * a
-    if kind in STARRED_KINDS:
-        lead, rest = _starred_row(tbl, num, n)
-        tbl.entries[(n // 2, 0)] = -rest / lead
     return tbl
 
 
@@ -454,6 +472,7 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
 def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
                      r=None, env: ParamEnv | None = None):
     """The closed triple-sum formulas for Gamma_{k, l}."""
+    _check_size(variant, n)
     if env is None:
         raise ValueError("an environment is required")
     ladder = qladder(2 * n + 2 + abs(ell2), env)
@@ -567,6 +586,7 @@ def _starred_conjecture(kind, n, r, env, ladder: QLadder, ell2):
 
 def gamma_table_conjecture(variant: AlgebraVariant, n: int, r=None,
                            env: ParamEnv | None = None) -> GammaTable:
+    _check_size(variant, n)
     check_sector(variant, r, env)
     tbl = GammaTable(variant, n, r, env)
     ladder = qladder(2 * n + 2, env)
@@ -666,61 +686,23 @@ def projector_oracle(variant: AlgebraVariant, n: int, r=None,
     return AlgebraElement(alg, terms)
 
 
-def annihilator_rank(variant: AlgebraVariant, n: int,
-                     env: ParamEnv) -> tuple[int, int]:
-    """(rank of the constraint system, basis dimension)."""
-    alg = Algebra(variant, env)
-    basis = basis_enumerate(variant)
-    return linalg.rank(_annihilator_rows(alg, basis)), len(basis)
-
-
 def check_e0Z(variant: AlgebraVariant, n: int, k: int, l2: int,
               env: ParamEnv) -> AlgebraElement:
-    """Residual of the e_0 Z_{k,l} expansion into X objects (expected zero).
-
-    Generic rows for k up to floor((n-1)/2) (the starred kinds stop two
-    earlier and use their own displayed relations for k = (n-2)/2 and n/2).
-    X objects with 2k > n do not exist and enter as zero.
-    """
-    alg = Algebra(variant, env)
-    starred = variant.kind in STARRED_KINDS
-    lhs = alg.e(0) * build_Z(alg, k, l2)
-    mk2 = n - 2 * k
+    """Residual of the e_0 Z_{k,l} expansion into X objects (expected zero):
+    e_0 Z_{k,l} minus the terms that ``_e0Z_layer`` lists for it."""
+    _check_size(variant, n)
     num = qladder(2 * n + 2, env).num
-    d = _fD(num, n)
-    half = num[n // 2]
-
-    def X(kk, ll2):
-        if 2 * kk > n:
-            return alg.zero()
-        return build_X(alg, kk, ll2)
-
-    if starred and 2 * k == n:
-        coeff = (env.alpha ** 2 * half ** 2 - num[n] ** 2) / d
-        return lhs - coeff * X(n // 2, 0)
-    if starred and 2 * k == n - 2:
-        c = f1(num, n, k) + 2 * f2(num, n, k)
-        if l2 == 0:
-            extra = num[2] * half ** 2 / d
-        elif l2 == 1:
-            extra = env.alpha * half ** 2 / d
-        else:
-            raise ValueError("starred k = (n-2)/2 rows only exist at l2 in {0,1}")
-        return lhs - c * X(k, l2) - extra * X(n // 2, 0)
-    rhs = f1(num, n, k) * X(k, l2) \
-        + f2(num, n, k) * (X(k, l2 - 2) + X(k, l2 + 2))
-    c3 = f3b(num, n, k, l2)
-    if l2 != mk2 - 1:
-        c3 = c3 + f3a(num, n, k, l2)
-    rhs = rhs + c3 * X(k + 1, l2)
-    if l2 != 0:
-        c4 = f4a(num, n, k, l2)
-        if l2 != 1:
-            c4 = c4 + f4b(num, n, k, l2)
-        rhs = rhs + c4 * X(k + 1, l2 - 2)
-    if l2 not in (0, 1, mk2 - 1):
-        rhs = rhs + f5(num, n, k, l2) * X(k + 2, l2 - 2)
-    return lhs - rhs
+    rows = (_e0Z_layer(variant.kind, num, n, k, env.alpha)[1]
+            if 0 <= 2 * k <= n else [])
+    if not 0 <= l2 < len(rows):
+        raise ValueError(f"the e_0 Z expansion has no row (k, l2)={(k, l2)} "
+                         f"at n={n}")
+    alg = Algebra(variant, env)
+    out = alg.e(0) * build_Z(alg, k, l2)
+    for c, kk, ll2 in rows[l2]:
+        if c:  # X_0 does not exist, and at k = 0, f1 = f2 = 0
+            out = out - c * build_X(alg, kk, ll2)
+    return out
 
 
 def _first_nonzero(named_elements):

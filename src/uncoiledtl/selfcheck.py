@@ -192,22 +192,23 @@ def check_projectors(periodic_max_n: int, affine_max_n: int,
 
 
 def check_e0Z_grids(max_n: int, seed: int):
-    """The e_0 Z_{k,l} expansion on every grid point, including the rows
-    the starred kinds display separately (criterion 07)."""
+    """The e_0 Z_{k,l} expansion on every grid point, k = 0 included, and
+    on the rows the starred kinds display separately (criterion 07)."""
     for kind, n in _uncoiled(max_n):
         v = AlgebraVariant(kind, n)
         env = sample_env(seed, kind, n)
         starred = kind in STARRED_KINDS
-        step = 1 if kind in AFFINE_KINDS else 2
-        rows = [(k, l2) for k in range(1, (n - 1) // 2 + 1)
+        affine = kind in AFFINE_KINDS
+        step = 1 if affine else 2
+        # the periodic k = 0 row is l2 = 0 alone: Gamma_{0,l} = delta_{l,0}
+        rows = [(k, l2) for k in range((n - 1) // 2 + 1)
                 if not (starred and 2 * k >= n - 2)
-                for l2 in range(0, n - 2 * k, step)]
+                for l2 in range(0, n - 2 * k if k or affine else 1, step)]
         if starred:
             rows.append((n // 2, 0))
-            if n >= 4:
-                rows.append(((n - 2) // 2, 0))
-                if kind in AFFINE_KINDS:
-                    rows.append(((n - 2) // 2, 1))
+            rows.append(((n - 2) // 2, 0))
+            if affine:
+                rows.append(((n - 2) // 2, 1))
         for (k, l2) in rows:
             if not check_e0Z(v, n, k, l2, env).is_zero():
                 return ("e0Z-expansion", False,

@@ -288,7 +288,7 @@ def test_mul_integer_accumulation_edge_cases():
 # -- bases and dimensions -----------------------------------------------------
 
 def test_basis_enumerate_is_in_sort_key_order():
-    # projector_oracle, annihilator_rank and `utl dims` index by this order,
+    # projector_oracle and `utl dims` index by this order,
     # which the generator's loops produce without a sort
     for kind in ("TL", "uaTL", "upTL", "uaTL1", "upTL1", "uaTL2", "upTL2"):
         for n in range(2, 9):
