@@ -78,11 +78,6 @@ def echelon(rows):
     return piv_cols
 
 
-def rank(rows) -> int:
-    work = [list(r) for r in rows]
-    return len(echelon(work))
-
-
 def nullspace(rows, ncols):
     """A basis of the kernel of the (rows x ncols) matrix."""
     work = [list(r) for r in rows]

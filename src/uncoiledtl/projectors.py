@@ -18,10 +18,18 @@ J(ell) = a x^|ell| + b x^-|ell| with x = q^n, so the convolution of a ring
 is four running sums.  The residual checker scatters every layer of a table
 onto every row, and a linear-system oracle rebuilds the projector from
 nothing but annihilation and normalization.
+
+The long sums of a table (the scatter, the ring sweeps and the closed
+forms' double sum) run on integer numerators over one denominator and build
+one Fraction per result, not one per step; a complex value is its own
+numerator over 1, so the float backend runs the same code.  The folded
+expansion is built once per parameter point (``_folded_layers``) and shared
+by the solver and the residual checker.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -33,8 +41,8 @@ from .algebra import (Algebra, AlgebraElement, AlgebraVariant, _reduce_mid,
                       basis_enumerate, is_idempotent, reduce)
 from .diagrams import DEFECT, Diagram, LinkState, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
-                      UNCOILED_KINDS, gamma_hat, qladder, qnum,
-                      validate_env)
+                      UNCOILED_KINDS, gamma_hat, over_common_denominator,
+                      qladder, qnum, ratio, split, validate_env)
 
 
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
@@ -245,7 +253,9 @@ class GammaTable:
         s, w = _fold(kind, self.n, k, l2)
         if s is None:
             return 0
-        return gamma_hat(kind, self.env) ** -w * self.entries[(k, s)]
+        if w:
+            return gamma_hat(kind, self.env) ** -w * self.entries[(k, s)]
+        return self.entries[(k, s)]
 
     def diff(self, other: "GammaTable") -> dict:
         keys = set(self.entries) | set(other.entries)
@@ -330,42 +340,75 @@ def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
     return a * x ** abs(ell) + b * x ** -abs(ell)
 
 
-def _folded_layer(tbl: GammaTable, num, k: int):
-    """(f2, rows) of ``_e0Z_layer`` at layer k, each term folded onto the
-    row (k', s) of the recurrence that collects X_{k', s}: rows[l2] lists
-    ((k', s), coefficient), zero terms left out.  X_{k', l2'} =
-    gamma_hat^w X_{k', s} with w, s = divmod(l2', n - 2k'), and at 2k' = n
-    it folds by the d = 0 window of ``_reduce_mid``, which kills it in the
-    double-starred kinds."""
-    kind, n, env = tbl.variant.kind, tbl.n, tbl.env
+@lru_cache(maxsize=1)  # the solver and the residuals of one table share it
+def _folded_layers(variant: AlgebraVariant, env: ParamEnv) -> tuple:
+    """(f2, rows, d) for every layer k of the variant's table: the terms
+    of ``_e0Z_layer`` folded onto the rows (k', s) of the recurrence that
+    collect X_{k', s}, rows[l2] = (keys, nums) with the coefficient of
+    keys[i] nums[i] / d, zero terms left out.  X_{k', l2'} = gamma_hat^w
+    X_{k', s} with w, s = divmod(l2', n - 2k'), and at 2k' = n it folds by
+    the d = 0 window of ``_reduce_mid``, which kills it in the
+    double-starred kinds.  Empty when the table has no layer above 0 (at
+    n = 1, [n - 1] = 0)."""
+    kind, n = variant.kind, variant.n
+    top = _top_layer(kind, n)
+    if not top:
+        return ()
     gh = gamma_hat(kind, env)
-    f2, rows = _e0Z_layer(kind, num, n, k, env.alpha)
-    folded = []
-    for terms in rows:
-        out = []
-        for c, kk, l2 in terms:
-            if 2 * kk < n:
-                w, s = divmod(l2, n - 2 * kk)
-                weight = gh ** w
-            else:
-                weight, s = _reduce_mid(kind, n, env, 0, abs(l2))
-            if c and weight:
-                out.append(((kk, s), c * weight))
-        folded.append(out)
-    return f2, folded
+    num = qladder(2 * n + 2, env).num
+    shared = {}  # one tuple per row key
+    layers = []
+    for k in range(top + 1):
+        f2, rows = _e0Z_layer(kind, num, n, k, env.alpha)
+        folded = []
+        for terms in rows:
+            keys, coeffs = [], []
+            for c, kk, l2 in terms:
+                if 2 * kk < n:
+                    w, s = divmod(l2, n - 2 * kk)
+                    if w:
+                        c = c * gh ** w
+                else:
+                    weight, s = _reduce_mid(kind, n, env, 0, abs(l2))
+                    c = c * weight
+                if c:
+                    keys.append(shared.setdefault((kk, s), (kk, s)))
+                    coeffs.append(c)
+            folded.append((keys, coeffs))
+        nums, d = over_common_denominator(
+            c for _, coeffs in folded for c in coeffs)
+        nums = iter(nums)
+        layers.append((f2, [(keys, [next(nums) for _ in coeffs])
+                            for keys, coeffs in folded], d))
+    return tuple(layers)
 
 
-def _scatter(tbl: GammaTable, k: int, layer, rows: dict, lowest: int = 0):
-    """Add Gamma_{k, l2} c onto rows[(k', s)] for each folded term
-    ((k', s), c) of layer k (``_folded_layer``) with k' >= lowest.  Every l2
-    of the layer is a source, its Gamma read through GammaTable.eval."""
-    for l2, terms in enumerate(layer):
-        g = tbl.eval(k, l2)
-        if not g:
-            continue
-        for key, c in terms:
-            if key[0] >= lowest:
-                rows[key] = rows.get(key, 0) + g * c
+def _scatter(tbl: GammaTable, k: int, layer, lowest: int = 0) -> tuple:
+    """(sums, d): Gamma_{k, l2} c summed onto each row (k', s) with
+    k' >= lowest, over the folded terms ((k', s), c) of layer k
+    (``_folded_layers``), as integer numerators over one denominator d.
+    Every l2 of the layer is a source, its Gamma read through
+    GammaTable.eval."""
+    _, terms, dc = layer
+    g, dg = over_common_denominator(tbl.eval(k, l2)
+                                    for l2 in range(len(terms)))
+    sums = {}
+    for gl, (keys, cs) in zip(g, terms):
+        if gl:
+            for key, c in zip(keys, cs):
+                if key[0] >= lowest:
+                    sums[key] = sums.get(key, 0) + gl * c
+    return sums, dg * dc
+
+
+def _gather(parts, keys) -> tuple:
+    """(nums, d): the rows keys summed over the ``_scatter`` results parts
+    that reach any of them, as integer numerators over one denominator."""
+    parts = [(sums, d) for sums, d in parts
+             if any(key in sums for key in keys)]
+    d = math.lcm(*(dp for _, dp in parts))
+    return [sum(sums.get(key, 0) * (d // dp) for sums, dp in parts)
+            for key in keys], d
 
 
 def _top_layer(kind: str, n: int) -> int:
@@ -379,15 +422,17 @@ def gamma_residuals(tbl: GammaTable) -> dict:
     e_0 Z_{k,l}, the e_0 Z expansion scattered from every layer."""
     n = tbl.n
     kind = tbl.variant.kind
-    out = {(k, l2): 0 for k in range(1, (n - 1) // 2 + 1)
-           for l2 in range(n - 2 * k)}
+    keys = [(k, l2) for k in range(1, (n - 1) // 2 + 1)
+            for l2 in range(n - 2 * k)]
     if kind in STARRED_KINDS:
-        out[(n // 2, 0)] = 0
-    if not out:  # no X object; at n = 1, [n - 1] = 0
-        return out
-    num = qladder(2 * n + 2, tbl.env).num
-    for k in range(_top_layer(kind, n) + 1):
-        _scatter(tbl, k, _folded_layer(tbl, num, k)[1], out)
+        keys.append((n // 2, 0))
+    parts = [_scatter(tbl, k, layer) for k, layer
+             in enumerate(_folded_layers(tbl.variant, tbl.env))]
+    out = {}
+    for _, row_keys in groupby(keys, key=itemgetter(0)):  # one layer of rows
+        row_keys = list(row_keys)
+        nums, d = _gather(parts, row_keys)
+        out.update(zip(row_keys, (ratio(x, d) for x in nums)))
     return out
 
 
@@ -412,7 +457,9 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     J(ell) = a x^|ell| + b x^-|ell| with (a, b) fixed by the sign of ell,
     the convolution of a ring of m points is four running sums, two swept
     backwards (the offsets ell >= 0) and two forwards (ell < 0): O(m)
-    products instead of m^2.
+    products instead of m^2.  The sums run on integers: the ring's
+    right-hand side over one denominator d, x = X/Y, and the four constants
+    over one denominator, so each ring point is one Fraction.
     """
     _check_size(variant, n)
     if env is None:
@@ -422,27 +469,33 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     tbl = GammaTable(variant, n, r, env)
     kind = variant.kind
     gh = gamma_hat(kind, env)
-    num = qladder(2 * n + 2, env).num
     for (k, l2) in gamma_grid(variant):
         if k == 0:
             tbl.entries[(0, l2)] = gamma_initial(variant, r, env, l2)
-    top = _top_layer(kind, n)
-    scattered = {}
-    # at n = 1 there is no layer above 0, and [n - 1] = 0
-    layer = _folded_layer(tbl, num, 0)[1] if top else None
-    for k in range(1, top + 1):
-        _scatter(tbl, k - 1, layer, scattered, k)
-        f2, layer = _folded_layer(tbl, num, k)
+    gn, gd = split(gh)
+    layers = _folded_layers(variant, env)
+    scattered = []
+    for k in range(1, len(layers)):
+        scattered.append(_scatter(tbl, k - 1, layers[k - 1], k))
+        f2, layer, dc = layers[k]
         if 2 * k == n:  # the starred top entry
-            (key, c), = layer[0]
-            tbl.entries[key] = -scattered.get(key, 0) / c
+            (key,), (c,) = layer[0]
+            (row,), d = _gather(scattered, [key])
+            tbl.entries[key] = ratio(-row * dc, d * c)
             continue
         mk2 = n - 2 * k
-        rows = [scattered.get((k, l2), 0) for l2 in range(mk2)]
+        rows, drows = _gather(scattered, [(k, l2) for l2 in range(mk2)])
         size, x, parts = _kernel_parts(variant, n, k, env)
         c = -1 / f2
-        (ap, bp), (am, bm) = ((c * a, c * b) for a, b in parts)
-        xi = 1 / x
+        (ap, bp, am, bm), cd = over_common_denominator(
+            c * ab for pair in parts for ab in pair)
+        big_x, big_y = split(x)
+        xp = [big_x ** e for e in range(size)]
+        yp = [big_y ** e for e in range(size)]
+        last = size - 1
+        # the constants times X^last Y^last, which clears every running sum
+        apx, amx = ap * xp[last], am * xp[last]
+        bpy, bmy = bp * yp[last], bm * yp[last]
         starts = (0,)
         if mk2 % 2 == 0 and kind in AFFINE_KINDS:
             starts = (0, 1)
@@ -450,20 +503,30 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
             raise AssertionError("odd rows must vanish for periodic kinds")
         for start in starts:
             ring = range(start, start + 2 * size, 2)
-            rhs = [rows[l2 % mk2] / gh ** (l2 // mk2) for l2 in ring]
-            # acc[i] = sum over j of J(j - i) rhs[j], split at j = i
-            acc = [0] * size
+            if mk2 % 2:  # the ring wraps once, picking up 1 / gamma_hat
+                rhs = [rows[l2] * gn if l2 < mk2 else rows[l2 - mk2] * gd
+                       for l2 in ring]
+                d = drows * gn
+            else:
+                rhs, d = [rows[l2] for l2 in ring], drows
+            den = cd * d * xp[last] * yp[last]
+            # acc[i] = sum over j of J(j - i) rhs[j] / d, split at j = i;
+            # in the comments sums run over j >= i (backwards) or j < i
+            back = [0] * size
             u = v = 0
-            for i in range(size - 1, -1, -1):
-                u, v = rhs[i] + x * u, rhs[i] + xi * v
-                acc[i] = ap * u + bp * v
+            for i in range(last, -1, -1):
+                u = yp[last - i] * rhs[i] + big_x * u  # Y^(last-i) sum x^(j-i)
+                v = xp[last - i] * rhs[i] + big_y * v  # X^(last-i) sum x^(i-j)
+                back[i] = apx * u * yp[i] + bpy * v * xp[i]
             u = v = 0
-            for i in range(1, size):
-                u, v = x * (u + rhs[i - 1]), xi * (v + rhs[i - 1])
-                acc[i] = acc[i] + am * u + bm * v
-            for l2, a in zip(ring, acc):
+            for i, l2 in enumerate(ring):
+                if i:
+                    u = big_x * (u + yp[i - 1] * rhs[i - 1])  # Y^i sum x^(i-j)
+                    v = big_y * (v + xp[i - 1] * rhs[i - 1])  # X^i sum x^(j-i)
+                a = ratio(back[i] + amx * u * yp[last - i]
+                          + bmy * v * xp[last - i], den)
                 s, w = _fold(kind, n, k, l2)
-                tbl.entries[(k, s)] = gh ** w * a
+                tbl.entries[(k, s)] = gh ** w * a if w else a
     return tbl
 
 
@@ -526,17 +589,33 @@ def _conjecture_layer(variant, n, k, r, env, ladder: QLadder):
     # the line above, all but q^(sigma (base + slope kap + n tau))
     # a[kap - tau] b[tau] is one factor per (sigma, kap), lead, and the
     # same for every ell2 of the layer.
+    #
+    # The sums run on integers.  With q = P/Q, a = A/da, b = B/db and the
+    # leads of one sigma over one denominator, the sum over tau times
+    # Q^(n kap) (sigma = 1; P^(n kap) for sigma = -1) is the convolution
+    # of A[i] Q^(n i) with B[t] P^(n t), and q^(sigma (base + slope kap))
+    # / Q^(n kap) is P^e Q^(-e - n kap): powers of P and Q aligned on
+    # their lowest exponents over kap.  One Fraction per sigma.
     leads = {}
     for sigma in (1, -1):
         outer = sigma * fact[k - 1] * fact[n - k - 1]
-        leads[sigma] = [
+        leads[sigma] = over_common_denominator(
             (-outer if kap % 2 else outer)
             / ((twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1)
                * fact[n - k - 1 + kap] * fact[k - 1 - kap])
-            for kap in range(k)]
-    steps = {sigma: q ** (sigma * n) for sigma in (1, -1)}
-    rising = lru_cache(maxsize=None)(
-        lambda start: _rising_over_factorial(ladder, start, k))
+            for kap in range(k))
+    big_p, big_q = split(q)
+    pn = [big_p ** (n * t) for t in range(k)]
+    qn = [big_q ** (n * t) for t in range(k)]
+
+    @lru_cache(maxsize=None)
+    def rising(start):
+        """(d, [c_i P^(n i)], [c_i Q^(n i)]) for the rising products c_i / d
+        of ``_rising_over_factorial``."""
+        c, d = over_common_denominator(
+            _rising_over_factorial(ladder, start, k))
+        return (d, [x * y for x, y in zip(c, pn)],
+                [x * y for x, y in zip(c, qn)])
 
     def entry(ell2):
         lo, hi = mk2 - ell2, ell2
@@ -545,20 +624,29 @@ def _conjecture_layer(variant, n, k, r, env, ladder: QLadder):
             base, slope = ell2 * k, -ell2
         elif kind == "upTL" and ell2 >= mk2:  # l >= m_k + 1/2
             slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
-        a, b = rising(lo), rising(hi)
-        coeffs = [[a[kap - tau] * b[tau] for tau in range(kap + 1)]
-                  for kap in range(k)]
+        da, a_p, a_q = rising(lo)
+        db, b_p, b_q = rising(hi)
+        # per kap, the exponents of P and of Q (sigma = -1: of Q and of P)
+        exps = [(base + slope * kap, -base - (slope + n) * kap)
+                for kap in range(k)]
+        low_top = min(e for e, _ in exps)
+        low_bottom = min(f for _, f in exps)
         total = 0
-        for sigma in (1, -1):
-            step = steps[sigma]
-            power, ratio = q ** (sigma * base), q ** (sigma * slope)
-            for lead, row in zip(leads[sigma], coeffs):
-                # sum over tau of q^(+-n tau) row[tau], by Horner
-                inner = row[-1]
-                for tau in range(len(row) - 2, -1, -1):
-                    inner = inner * step + row[tau]
-                total = total + lead * power * inner
-                power = power * ratio
+        for (lead, dl), top, bottom, a, b in (
+                (leads[1], big_p, big_q, a_q, b_p),
+                (leads[-1], big_q, big_p, a_p, b_q)):
+            acc = 0
+            for kap, (e, f) in enumerate(exps):
+                inner = sum(a[kap - tau] * b[tau] for tau in range(kap + 1))
+                acc += (lead[kap] * inner * top ** (e - low_top)
+                        * bottom ** (f - low_bottom))
+            den = dl * da * db
+            for x, e in ((top, low_top), (bottom, low_bottom)):
+                if e >= 0:
+                    acc *= x ** e
+                else:
+                    den *= x ** -e
+            total = total + ratio(acc, den)
         if affine:
             return pref * env.omega ** (-ell2) * total
         return pref * total

@@ -20,6 +20,7 @@ sectors); its equality tolerance is 1e-9.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -166,6 +167,39 @@ def qbinom(kappa: int, tau: int, env: ParamEnv):
         raise ValueError(f"qbinom indices out of range: ({kappa}, {tau})")
     fact = qladder(kappa, env).fact
     return fact[kappa] / (fact[tau] * fact[kappa - tau])
+
+
+# -- integer numerators ------------------------------------------------------
+#
+# A long sum of Fractions spends its time on a gcd per step.  The Gamma
+# tables instead run their sums on integer numerators over one denominator
+# and build one Fraction per result.  A complex value is its own numerator
+# over 1, so the float backend runs the same sums.
+
+def split(x) -> tuple:
+    """(numerator, denominator) of a rational; a complex value over 1."""
+    if isinstance(x, (complex, float)):
+        return x, 1
+    return x.numerator, x.denominator
+
+
+def over_common_denominator(xs) -> tuple:
+    """(nums, d) with xs[i] = nums[i] / d and d the least common
+    denominator; complex values come back unchanged over 1."""
+    # no (numerator, denominator) pair per value: a table's worth of pairs
+    # freed at once stays on the interpreter's tuple free lists
+    xs = list(xs)
+    if any(isinstance(x, (complex, float)) for x in xs):
+        return xs, 1
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def ratio(num, den):
+    """num / den: one Fraction for integers, plain division otherwise."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
 
 
 def gamma_hat(kind: str, env: ParamEnv):

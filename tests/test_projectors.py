@@ -10,7 +10,7 @@ import uncoiledtl.algebra
 from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
 from uncoiledtl.diagrams import flip
 from uncoiledtl.projectors import (GammaTable, _annihilator_rows, _fold,
-                                   build_projector_Q,
+                                   _folded_layers, build_projector_Q,
                                    build_X, build_Y, build_Z, check_e0Z,
                                    cup_state, gamma_conjecture, gamma_grid,
                                    gamma_initial, gamma_residuals,
@@ -324,6 +324,113 @@ def test_conjecture_matches_term_by_term_reference():
     assert cases > 1000
 
 
+# The layer formula as it was written before its sums ran on integer
+# numerators: Fraction leads and rising products, and the sum over tau by
+# Horner in q^(+-n).  The integer sums must reproduce it exactly.
+
+def _rising_over_factorial_reference(ladder, start, count):
+    num, fact = ladder.num, ladder.fact
+    out, prod = [fact[0]], fact[0]
+    for i in range(1, count):
+        j = start + i - 1
+        prod = prod * (num[j] if j >= 0 else -num[-j])
+        out.append(prod / fact[i])
+    return out
+
+
+def _conjecture_layer_reference(variant, n, k, r, env, ladder):
+    kind = variant.kind
+    q = env.q
+    num, fact = ladder.num, ladder.fact
+    if k == 0 or (2 * k == n and kind in STARRED_KINDS):
+        return lambda ell2: _gamma_conjecture_reference(variant, n, k, ell2,
+                                                        r, env)
+    mk2 = n - 2 * k
+    pref = 1 / ((q - 1 / q) ** (2 * k - 1) * num[k] * fact[k - 1] ** 2)
+    affine = kind in AFFINE_KINDS
+    if affine:
+        pref = pref / n
+        twist, scale = env.omega * env.omega, 1
+    elif kind in ("upTL1", "upTL2"):
+        twist, scale = gamma_hat(kind, env), n // 2
+    else:  # upTL
+        twist, scale = env.gamma * env.gamma, n
+    leads = {}
+    for sigma in (1, -1):
+        outer = sigma * fact[k - 1] * fact[n - k - 1]
+        leads[sigma] = [
+            (-outer if kap % 2 else outer)
+            / ((twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1)
+               * fact[n - k - 1 + kap] * fact[k - 1 - kap])
+            for kap in range(k)]
+    steps = {sigma: q ** (sigma * n) for sigma in (1, -1)}
+
+    def entry(ell2):
+        lo, hi = mk2 - ell2, ell2
+        base, slope = n * ell2 // 2, 0
+        if affine:
+            base, slope = ell2 * k, -ell2
+        elif kind == "upTL" and ell2 >= mk2:  # l >= m_k + 1/2
+            slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
+        a = _rising_over_factorial_reference(ladder, lo, k)
+        b = _rising_over_factorial_reference(ladder, hi, k)
+        coeffs = [[a[kap - tau] * b[tau] for tau in range(kap + 1)]
+                  for kap in range(k)]
+        total = 0
+        for sigma in (1, -1):
+            step = steps[sigma]
+            power, ratio = q ** (sigma * base), q ** (sigma * slope)
+            for lead, row in zip(leads[sigma], coeffs):
+                inner = row[-1]
+                for tau in range(len(row) - 2, -1, -1):
+                    inner = inner * step + row[tau]
+                total = total + lead * power * inner
+                power = power * ratio
+        if affine:
+            return pref * env.omega ** (-ell2) * total
+        return pref * total
+    return entry
+
+
+def _conjecture_table_reference(variant, n, r, env):
+    ladder = qladder(2 * n + 2, env)
+    layers = {}
+    return {(k, l2): layers.setdefault(k, _conjecture_layer_reference(
+                variant, n, k, r, env, ladder))(l2)
+            for k, l2 in gamma_grid(variant)}
+
+
+def test_conjecture_integer_sums_match_the_horner_reference():
+    cases = 0
+    for v, r, env in _conjecture_cases(21, seeds=(0, 1, 2)):
+        got = gamma_table_conjecture(v, v.n, r, env).entries
+        assert got == _conjecture_table_reference(v, v.n, r, env), \
+            (v.kind, v.n, r)
+        cases += len(got)
+    assert cases > 5000
+    # every r sector of the affine kinds at acceptance criterion 04's
+    # complex unit-circle points, within the float tolerance
+    sectors = 0
+    for kind in AFFINE_KINDS:
+        for n in legal_sizes(kind, 14):
+            v = AlgebraVariant(kind, n)
+            for seed in (0, 1, 2):
+                base = _float_env_on_circle(seed, n)
+                gamma = base.gamma if kind != "uaTL1" else complex(1)
+                for r in range(n):
+                    w = gamma ** (1.0 / n) * cmath.exp(2j * cmath.pi * r / n)
+                    env = base.with_omega(w, n)
+                    got = gamma_table_conjecture(v, n, r, env).entries
+                    want = _conjecture_table_reference(v, n, r, env)
+                    scale = max(1.0, max(abs(x) for x in want.values()))
+                    assert got.keys() == want.keys()
+                    for key, x in want.items():
+                        assert abs(got[key] - x) <= FLOAT_RTOL * scale, \
+                            (kind, n, seed, r, key)
+                    sectors += 1
+    assert sectors > 300
+
+
 # The recurrence rows as they were written before they were read off the
 # e_0 Z expansion: each row (k, l2) transposed by hand, with its boundary
 # corrections.  The reference solver and the row test read them.
@@ -509,6 +616,41 @@ def test_residual_rows_match_the_hand_transposed_rows():
                 (v.kind, v.n, r)
             cases += 1
     assert cases > 200
+
+
+def test_folded_layer_memo_serves_only_its_own_point():
+    # the expanded e_0 Z layers are kept for the last point only: residuals
+    # taken after a solve at another point, or of another table at the same
+    # point, equal the residuals taken with the memo cleared
+    rng = random.Random(15)
+    for kind, n in [("uaTL", 7), ("upTL", 7), ("uaTL1", 6), ("upTL1", 6),
+                    ("uaTL2", 6), ("upTL2", 6)]:
+        v = AlgebraVariant(kind, n)
+        env_a, env_b = sample_env(1, kind, n), sample_env(2, kind, n)
+        assert env_a != env_b
+        r_a, r_b = sector_of(kind, env_a, n), sector_of(kind, env_b, n)
+        grid = gamma_grid(v)
+        table_a = GammaTable(v, n, r_a, env_a, {
+            key: Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+            for key in grid})
+        gamma_solve(v, n, r_a, env_a)
+        solved_b = gamma_solve(v, n, r_b, env_b).entries
+        got = gamma_residuals(table_a)
+        assert _folded_layers.cache_info().currsize == 1
+        _folded_layers.cache_clear()
+        assert solved_b == gamma_solve(v, n, r_b, env_b).entries, (kind, n)
+        _folded_layers.cache_clear()
+        want = gamma_residuals(table_a)
+        assert got == want == _gamma_residuals_reference(table_a), (kind, n)
+        # a solver table and a conjecture table at one point, one entry of
+        # the latter moved so that its residuals are nonzero
+        gamma_solve(v, n, r_a, env_a)
+        tc = gamma_table_conjecture(v, n, r_a, env_a)
+        tc.entries[grid[-1]] += 1
+        got = gamma_residuals(tc)
+        assert any(got.values())
+        _folded_layers.cache_clear()
+        assert got == gamma_residuals(tc), (kind, n)
 
 
 def test_gamma_tables_refuse_another_size_than_the_variant():
