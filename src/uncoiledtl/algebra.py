@@ -4,6 +4,13 @@ The eight variants: the infinite aTL and pTL (no reduction, raw words), the
 finite TL subalgebra, and the six uncoiled quotients.  Reduction is eager:
 every product term is immediately folded into its variant's canonical mid
 window, which keeps winding exponents bounded and term keys hashable.
+
+``mul`` sums the pairs of terms as integers over the factors' common
+denominators, and finishes over one common denominator: each output
+diagram's coefficient is one int sum over the handful of distinct factors
+s * beta**k (reduction scalar times loop weight) of the product, and one
+Fraction.  A complex value is its own numerator over 1, so both backends
+run the same code.
 """
 
 from __future__ import annotations
@@ -11,13 +18,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import diagrams
 from .diagrams import (Diagram, LinkState, link_states, outer_face, sigma_bt,
                        trace_interface)
 from .scalars import (ALL_KINDS, EXACT, FLOAT_RTOL, PERIODIC_KINDS,
-                      ParamEnv, gamma_hat)
+                      ParamEnv, gamma_hat, over_common_denominator, ratio)
 
 DEFAULT_MAX_TERMS = 5_000_000
 
@@ -132,7 +138,10 @@ class Algebra:
     def __init__(self, variant: AlgebraVariant, env: ParamEnv):
         self.variant = variant
         self.env = env
+        # diagram -> (id of its reduction scalar, reduced diagram); ids
+        # number the distinct scalars in order of first use
         self._reduce_memo: dict = {}
+        self._scalar_ids: dict = {}
 
     @property
     def n(self) -> int:
@@ -265,16 +274,6 @@ class AlgebraElement:
         }
 
 
-def scaled_to_integers(a: AlgebraElement):
-    """(scale * a, scale) for the least positive int scale that clears the
-    denominators of a's rational (int or Fraction) coefficients, so that
-    the scaled element has int coefficients."""
-    scale = math.lcm(*{c.denominator for c in a.terms.values()})
-    terms = {d: c.numerator * (scale // c.denominator)
-             for d, c in a.terms.items()}
-    return AlgebraElement(a.algebra, terms), scale
-
-
 def is_idempotent(a: AlgebraElement) -> bool:
     """a*a == a (exact, or within the float backend's tolerance)."""
     return (a * a).equals(a)
@@ -290,25 +289,25 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     and a pair of terms only adds c1 * c2 under an int key packing (beta
     exponent, new bottom, new top, mid).
 
-    On the exact backend both factors are first scaled to int coefficients
-    (``scaled_to_integers``, scales sa and sb), so a pair of terms costs one
-    int multiply and add, not a Fraction normalization.  Each key's int sum
-    is divided by sa * sb once; then the reduction scalar and the power of
-    beta are applied once per key.
+    Both factors are first put over their common denominators (sa and sb),
+    so a pair of terms costs one int multiply and add, not a Fraction
+    normalization.  Each key's sum is then added, under its reduced diagram,
+    to one running int per factor s * beta**k; a product has only a handful
+    of distinct factors.  These are put over one denominator as well, so
+    each output diagram's coefficient is one int sum over sa * sb times that
+    denominator, and one Fraction.  A complex value is its own numerator
+    over 1, so the float backend runs the same code.
     """
     a._check(b)
     alg = a.algebra
     variant, env = alg.variant, alg.env
-    exact = env.backend == EXACT
-    if exact:
-        a, sa = scaled_to_integers(a)
-        b, sb = scaled_to_integers(b)
-        den = sa * sb
+    coeffs_a, sa = over_common_denominator(a.terms.values())
+    coeffs_b, sb = over_common_denominator(b.terms.values())
     cap = _max_terms()
     by_top, by_bottom = {}, {}
-    for dia, c in a.terms.items():
+    for dia, c in zip(a.terms, coeffs_a):
         by_top.setdefault(dia.top, []).append((dia, c))
-    for dia, c in b.terms.items():
+    for dia, c in zip(b.terms, coeffs_b):
         by_bottom.setdefault(dia.bottom, []).append((dia, c))
 
     # key = ((beta_exp * NB + bottom) * NT + top) * W + mid + OFF, added up
@@ -365,37 +364,38 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                     f"element exceeded UTL_MAX_TERMS={cap}")
 
     bottoms, tops = list(bottoms), list(tops)
-    rmemo = alg._reduce_memo
-    powers = {}
-    out = {}
+    rmemo, sids = alg._reduce_memo, alg._scalar_ids
+    parts = {}  # (scalar id, beta exponent) -> {reduced diagram: int sum}
     for k, val in acc.items():
         if not val:
             continue
-        if exact:
-            val = Fraction(val, den)
         k, m = divmod(k, width)
         k, ti = divmod(k, nt)
         beta_exp, bi = divmod(k, nb)
         dia = diagrams.intern_diagram(bottoms[bi], tops[ti], m - off)
         hit = rmemo.get(dia)
         if hit is None:
-            hit = rmemo[dia] = reduce(dia, variant, env)
-        s, dr = hit
+            s, dr = reduce(dia, variant, env)
+            hit = rmemo[dia] = (sids.setdefault(s, len(sids)), dr)
+        sid, dr = hit
         if dr is None:
             continue
-        if s != 1:
-            val = val * s
-        if beta_exp:
-            bp = powers.get(beta_exp)
-            if bp is None:
-                bp = powers[beta_exp] = env.beta ** beta_exp
-            val = val * bp
-        val = out.get(dr, 0) + val
-        if val:
-            out[dr] = val
-        elif dr in out:
-            del out[dr]
-    return AlgebraElement(alg, out)
+        part = parts.get((sid, beta_exp))
+        if part is None:
+            part = parts[sid, beta_exp] = {}
+        part[dr] = part.get(dr, 0) + val
+    del acc, get  # the unreduced keys go before the output is built
+    scalars = list(sids)
+    factors, common = over_common_denominator(
+        scalars[sid] * env.beta ** beta_exp for sid, beta_exp in parts)
+    sums = {}
+    for f, part in zip(factors, parts.values()):
+        for dr, val in part.items():
+            sums[dr] = sums.get(dr, 0) + val * f
+    del parts
+    den = sa * sb * common
+    return AlgebraElement(alg, {dr: ratio(val, den)
+                                for dr, val in sums.items() if val})
 
 
 # -- bases and dimensions -----------------------------------------------------

@@ -3,6 +3,8 @@ reproducible JSON-emitting commands.
 
 Exit codes: 0 success, 1 verification failure, 2 non-generic parameters,
 3 invalid input; every nonzero code also writes a JSON error to stderr.
+The ``utl`` entry point dies of SIGPIPE, without a traceback, when its
+reader closes stdout early.
 Identical flags and seed produce byte-identical output.
 """
 
@@ -13,6 +15,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from . import selfcheck as selfcheck_mod
 from .algebra import (AlgebraVariant, InfiniteAlgebraError,
@@ -282,9 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on its first use."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         code = args.func(args)
         if code == EXIT_VERIFY:
             print(json.dumps({"error": "verification failed",
@@ -305,6 +314,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # a reader that closes stdout early ends utl quietly, as it ends cat;
+    # imported here, as run() alone does not need it (1 ms of start-up)
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -119,12 +119,33 @@ def cup_diagram(n: int, k: int, l2: int) -> Diagram:
     return Diagram(v, v, l2)
 
 
+@lru_cache(maxsize=None)
+def _cup_states(n: int) -> frozenset:
+    """cup_state(n, k) for every 0 <= 2k <= n."""
+    return frozenset(cup_state(n, k) for k in range(n // 2 + 1))
+
+
+def _times_P(left: AlgebraElement) -> AlgebraElement:
+    """left * P_n through cup contacts only.
+
+    A term of left whose top is not a cup state has an arc (j, j+1) away
+    from the seam, 1 <= j <= n-1 (the cup states are the only link states
+    whose arcs all cross the seam, nested), so it equals beta^-1 (term) e_j,
+    and e_j P_n = 0 kills it.  Only the terms with a cup-state top are
+    multiplied."""
+    alg = left.algebra
+    cups = _cup_states(alg.n)
+    contacts = AlgebraElement(alg, {dia: c for dia, c in left.terms.items()
+                                    if dia.top in cups})
+    return contacts * wenzl_jones_P(alg.n, alg)
+
+
 @_block
 def build_Z(alg: Algebra, k: int, l2: int) -> AlgebraElement:
     """Z_{k,l} = P_n (k cups, winding l2, k caps) P_n; Z_{0,0} = P_n."""
     p = wenzl_jones_P(alg.n, alg)
     c = alg.from_diagram(cup_diagram(alg.n, k, l2))
-    return p * c * p
+    return _times_P(p * c)
 
 
 @_block
@@ -136,7 +157,7 @@ def build_X(alg: Algebra, k: int, l2: int) -> AlgebraElement:
         raise ValueError(f"X_{k} undefined for n={n}")
     inner = wenzl_jones_P(n - 2, alg, 1)
     c = alg.from_diagram(cup_diagram(n, k, l2))
-    return inner * c * wenzl_jones_P(n, alg)
+    return _times_P(inner * c)
 
 
 @_block
@@ -153,7 +174,7 @@ def build_Y(alg: Algebra, k: int, l2: int) -> AlgebraElement:
     # coordinates used here (pinned by the e_0 Z_{0,l} expansion).
     lower = alg.e(0) * wenzl_jones_P(n - 1, alg, 1) * alg.e(1)
     c = alg.from_diagram(cup_diagram(n, k, l2 - 2))
-    return lower * c * wenzl_jones_P(n, alg)
+    return _times_P(lower * c)
 
 
 # -- the e_0 Z expansion --------------------------------------------------------
@@ -700,7 +721,13 @@ def build_projector_Q(tbl: GammaTable) -> AlgebraElement:
     table, with c_{k,l} the cup diagram of build_Z; by linearity this is
     the paper's sum Gamma_{k,l} Z_{k,l}, in two products instead of one
     sandwich per entry.  For the affine kinds the k = 0 row is the
-    eigenprojector Pi_{n,r} spread over P_n Omega^j P_n."""
+    eigenprojector Pi_{n,r} spread over P_n Omega^j P_n.
+
+    The right factor P_n meets the left product through cup contacts only
+    (``_times_P``): a term whose top is not a cup state has an arc (j, j+1)
+    away from the seam, so it is a multiple of (term) e_j, which P_n kills.
+    The checks of Q (``projector_checks``) multiply by the full Q, so they
+    do not rest on this."""
     alg = Algebra(tbl.variant, tbl.env)
     n = alg.n
     # the periodic k = 0 row stores zeros at l2 != 0, on wound identities
@@ -708,8 +735,7 @@ def build_projector_Q(tbl: GammaTable) -> AlgebraElement:
     mid = alg.element({cup_diagram(n, k, l2): c
                        for (k, l2) in gamma_grid(tbl.variant)
                        if (c := tbl.entries[(k, l2)])})
-    p = wenzl_jones_P(n, alg)
-    return p * mid * p
+    return _times_P(wenzl_jones_P(n, alg) * mid)
 
 
 def _generators(alg: Algebra) -> list:

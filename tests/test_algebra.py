@@ -10,7 +10,9 @@ from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
                                 dimension_closed_form, psi_bilinear, reduce)
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, e, identity,
                                  link_states, multiply_raw, omega)
-from uncoiledtl.scalars import ALL_KINDS, UNCOILED_KINDS, sample_env
+from uncoiledtl.projectors import wenzl_jones_P
+from uncoiledtl.scalars import (ALL_KINDS, FLOAT_RTOL, UNCOILED_KINDS,
+                                sample_env)
 
 D = DEFECT
 
@@ -283,6 +285,77 @@ def test_mul_integer_accumulation_edge_cases():
                              basis[1]: Fraction(-2, 13)})
     for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
         assert (lhs * rhs).terms == _pairwise_product(lhs, rhs).terms
+
+
+def _mixed_element(alg, rng, size):
+    """Up to size terms with coefficients p/q over mixed denominators: basis
+    diagrams of a finite variant, or generator words of aTL and pTL."""
+    n, kind = alg.n, alg.variant.kind
+    if kind in ("aTL", "pTL"):
+        step = 1 if kind == "aTL" else 2  # pTL holds even diagrams only
+        pool = ([e(n, j) for j in range(n)]
+                + [omega(n, step), omega(n, -step)])
+        dias = []
+        for _ in range(size):
+            c = identity(n)
+            for _ in range(rng.randint(0, 6)):
+                c, _, _ = multiply_raw(c, rng.choice(pool))
+            dias.append(c)
+    else:
+        dias = rng.sample(basis_enumerate(alg.variant),
+                          min(size, dimension_closed_form(alg.variant)))
+    return alg.element({dia: Fraction(rng.choice((-1, 1)) * rng.randint(1, 40),
+                                      rng.choice((1, 2, 3, 4, 6, 7, 9, 25)))
+                        for dia in dias})
+
+
+def _factors(a, b):
+    """The distinct scalars s * beta**k of the pairs of terms of a * b."""
+    alg = a.algebra
+    out = set()
+    for d1 in a.terms:
+        for d2 in b.terms:
+            dia, k, _ = multiply_raw(d1, d2)
+            s, dr = reduce(dia, alg.variant, alg.env)
+            if dr is not None:
+                out.add(s * alg.env.beta ** k)
+    return out
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_mul_over_one_denominator_matches_pairwise_reference(kind):
+    # larger products than the hypothesis test: many pairs under one output
+    # diagram, several factors s * beta**k, mixed denominators
+    rng = random.Random(f"mul:{kind}")
+    most = 1
+    for n in (m for m in MUL_SIZES[kind] if m <= 5):
+        for seed in (0, 1):
+            env = sample_env(seed, kind, n)
+            alg = Algebra(AlgebraVariant(kind, n), env)
+            a, b = _mixed_element(alg, rng, 16), _mixed_element(alg, rng, 16)
+            got = a * b
+            assert got.terms == _pairwise_product(a, b).terms, (n, seed)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            most = max(most, len(_factors(a, b)))
+            # the complex backend runs the same code, over 1
+            falg = Algebra(alg.variant, env.to_float())
+            fa, fb = (AlgebraElement(falg, {d: complex(c)
+                                            for d, c in x.terms.items()})
+                      for x in (a, b))
+            fgot = fa * fb
+            assert fgot.equals(_pairwise_product(fa, fb))
+            scale = max(1.0, got.max_abs())
+            assert set(fgot.terms) == set(got.terms)
+            assert all(abs(fgot.terms[d] - c) <= FLOAT_RTOL * scale
+                       for d, c in got.terms.items())
+            if kind in ("aTL", "pTL"):
+                continue
+            # products that cancel to exactly zero: e_j P_n and P_n e_j
+            p = wenzl_jones_P(n, alg)
+            for j in range(1, n):
+                assert (alg.e(j) * p).terms == {} == (p * alg.e(j)).terms
+                assert _pairwise_product(alg.e(j), p).terms == {}
+    assert most > 1  # the tail met more than one factor
 
 
 # -- bases and dimensions -----------------------------------------------------

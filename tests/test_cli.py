@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -181,6 +182,29 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["match"] is True
+
+
+def test_closed_stdout_ends_quietly_by_sigpipe():
+    # a reader such as `head -c 100` that closes the pipe before utl writes:
+    # utl dies of SIGPIPE like cat, not of a BrokenPipeError traceback
+    # (exit 1 would read as a failed verification)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uncoiledtl.cli", "projector", "--verify",
+         "--algebra", "uptl1", "--n", "2", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert run(["dims", "--algebra", "uatl", "--n", "3"]) == 0
+    assert cli._parser() is cli._parser()
+    assert run(["dims", "--algebra", "uatl", "--n", "5"]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [d["results"][0]["n"] for d in docs] == [3, 5]
 
 
 def _run_quiet(argv):

@@ -3,15 +3,19 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
 import uncoiledtl.algebra
+import uncoiledtl.projectors
 from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
 from uncoiledtl.diagrams import flip
-from uncoiledtl.projectors import (GammaTable, _annihilator_rows, _fold,
-                                   _folded_layers, build_projector_Q,
-                                   build_X, build_Y, build_Z, check_e0Z,
+from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
+                                   _cup_states, _fold, _folded_layers,
+                                   build_projector_Q, build_X, build_Y,
+                                   build_Z, check_e0Z, cup_diagram,
                                    cup_state, gamma_conjecture, gamma_grid,
                                    gamma_initial, gamma_residuals,
                                    gamma_solve, gamma_table,
@@ -771,6 +775,61 @@ def test_sandwich_Q_matches_the_sum_of_Z():
                 (v.kind, v.n, r, method)
             cases += 1
     assert cases == 2 * 2 * 14  # 12 kind/size points, uaTL1's twice
+
+
+def _q_in_full(tbl):
+    """P_n (sum Gamma_{k,l} c_{k,l}) P_n with both products in full."""
+    alg = Algebra(tbl.variant, tbl.env)
+    n = alg.n
+    mid = alg.element({cup_diagram(n, k, l2): c
+                       for (k, l2), c in tbl.entries.items() if c})
+    p = wenzl_jones_P(n, alg)
+    return p * mid * p
+
+
+def test_products_by_P_through_cup_contacts_are_exact():
+    # Q, Z, X and Y multiply by P_n on the right through the terms whose
+    # top is a cup state only; the dropped terms must have summed to zero
+    cases = 0
+    for v, r, env in _conjecture_cases(6, seeds=(0, 1)):
+        alg, n = Algebra(v, env), v.n
+        tbl = gamma_solve(v, n, r, env)
+        assert build_projector_Q(tbl).terms == _q_in_full(tbl).terms
+        p = wenzl_jones_P(n, alg)
+        inner = wenzl_jones_P(n - 2, alg, 1)
+        lower = alg.e(0) * wenzl_jones_P(n - 1, alg, 1) * alg.e(1)
+        # every nonzero entry's block; the periodic k = 0 layer stores
+        # zeros at l2 != 0, on wound identities that reduce rejects
+        for (k, l2), coeff in tbl.entries.items():
+            if not coeff:
+                continue
+            c = alg.from_diagram(cup_diagram(n, k, l2))
+            assert build_Z(alg, k, l2).terms == (p * c * p).terms
+            if k:
+                assert build_X(alg, k, l2).terms == (inner * c * p).terms
+                c = alg.from_diagram(cup_diagram(n, k, l2 - 2))
+                assert build_Y(alg, k, l2).terms == (lower * c * p).terms
+        cases += 1
+    assert cases == 2 * 19  # 16 kind/size points, uaTL1's three twice
+
+
+def test_a_missing_cup_contact_changes_Q(monkeypatch):
+    # the fault: one cup state left out of the contacts of Q with P_n
+    want = {}
+    for kind in UNCOILED_KINDS:
+        n = 5 if kind in ("uaTL", "upTL") else 4
+        v = AlgebraVariant(kind, n)
+        env = sample_env(1, kind, n)
+        tbl = gamma_solve(v, n, sector_of(kind, env, n), env)
+        want[kind] = (tbl, build_projector_Q(tbl))
+    for n in (4, 5):
+        for k in range(n // 2 + 1):
+            missing = cup_state(n, k)
+            monkeypatch.setattr(uncoiledtl.projectors, "_cup_states",
+                                lambda m: _cup_states(m) - {missing})
+            assert any(not build_projector_Q(tbl).equals(q)
+                       for tbl, q in want.values() if tbl.n == n), (n, k)
+            monkeypatch.undo()
 
 
 def test_uatl1_int_omega_gives_an_exact_verified_projector():
