@@ -750,12 +750,15 @@ def _annihilator_rows(alg: Algebra, basis) -> list:
 
     Column i of a constraint holds its image of basis[i]: one product of two
     diagrams, reduced, so the oracle never runs through ``mul``, the product
-    that builds Q and checks Q*Q."""
+    that builds Q and checks Q*Q.  The entries are the scalars' own values
+    (Fractions in the exact backend); the padding is int 0, which
+    ``linalg.echelon`` skips without a Python-level truth test."""
     variant, env = alg.variant, alg.env
-    n, zero, dim = alg.n, env.zero, len(basis)
+    n, dim = alg.n, len(basis)
     ops = [(diagrams.e(n, j), 0) for j, _ in _generators(alg)]
     if variant.kind in AFFINE_KINDS:
         ops.append((diagrams.omega(n), env.omega))
+    beta_pow = lru_cache(None)(env.beta.__pow__)  # once per loop count
     rows = []
     for g, w in ops:
         for left in (True, False):
@@ -764,12 +767,12 @@ def _annihilator_rows(alg: Algebra, basis) -> list:
                 prod, k, _ = (diagrams.multiply_raw(g, dia) if left
                               else diagrams.multiply_raw(dia, g))
                 s, dr = reduce(prod, variant, env)
-                image = {} if dr is None else {dr: s * env.beta ** k}
+                image = {} if dr is None else {dr: s * beta_pow(k)}
                 if w:
                     image[dia] = image.get(dia, 0) - w
                 for dd, c in image.items():
                     if c:
-                        cols.setdefault(dd, [zero] * dim)[i] = c
+                        cols.setdefault(dd, [0] * dim)[i] = c
             rows.extend(cols.values())
     return rows
 
@@ -830,7 +833,8 @@ def projector_checks(q: AlgebraElement, r, with_oracle: bool) -> dict:
     """The checks of a projector Q, each mapped to None when it holds and
     otherwise to its first witness: Q^2 = Q, e_j Q = Q e_j = 0 for every j,
     Omega Q = Q Omega = omega Q for the affine kinds, and (with_oracle) Q
-    equal to the linear-system oracle."""
+    equal to the linear-system oracle (an oracle system without a unique
+    solution fails this check with its message rather than raising)."""
     alg = q.algebra
     variant, n, env = alg.variant, alg.n, alg.env
     checks = {"idempotent": None if is_idempotent(q) else "Q^2 != Q"}
@@ -843,8 +847,14 @@ def projector_checks(q: AlgebraElement, r, with_oracle: bool) -> dict:
             (("Omega Q - omega Q", om * q - w * q),
              ("Q Omega - omega Q", q * om - w * q)))
     if with_oracle:
-        oracle = projector_oracle(variant, n, r, env)
-        checks["matches_oracle"] = None if oracle.equals(q) else "Q != oracle"
+        try:
+            oracle = projector_oracle(variant, n, r, env)
+        except linalg.SingularSystemError as exc:
+            # valid input whose check failed: exit 1, not invalid input
+            checks["matches_oracle"] = f"oracle: {exc}"
+        else:
+            checks["matches_oracle"] = (None if oracle.equals(q)
+                                        else "Q != oracle")
     return checks
 
 

@@ -233,6 +233,22 @@ def test_projector_verify_on_one_strand(algebra, oracle):
     assert all(checks.values()) and ("matches_oracle" in checks) == bool(oracle)
 
 
+@pytest.mark.parametrize("algebra,kind,n", [
+    ("uptl", "upTL", 3), ("uatl1", "uaTL1", 4), ("uptl2", "upTL2", 4)])
+def test_a_singular_oracle_system_is_a_failed_check(singular_oracle,
+                                                    algebra, kind, n):
+    # valid input whose oracle check fails: exit 1, not 3 (invalid input)
+    singular_oracle(kind, n)
+    code, out, err = _run_quiet(["projector", "--verify", "--oracle",
+                                 "--algebra", algebra, "--n", str(n),
+                                 "--seed", "1"])
+    assert code == 1, err
+    checks = json.loads(out)["checks"]
+    assert checks.pop("matches_oracle") is False
+    assert all(checks.values()), checks
+    assert json.loads(err)["error"] == "verification failed"
+
+
 def test_zero_denominator_is_invalid_input():
     assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
                         "--z", "1/0"]) == 3

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as hst
 
 from uncoiledtl.linalg import echelon, nullspace
@@ -76,3 +77,67 @@ def test_nullspace_is_the_kernel(case):
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
     assert rank(basis) == len(basis)
     assert rank(rows) + len(basis) == ncols
+
+
+BIG_INT = hst.integers(-10 ** 12, 10 ** 12)
+BIG_FRACTION = hst.builds(Fraction, BIG_INT, hst.integers(1, 10 ** 6))
+
+
+@hst.composite
+def integer_path_matrices(draw):
+    """The forms the fraction-free elimination reads: numerators up to
+    10^12 over mixed denominators up to 10^6, rows of plain ints, int 0
+    padding beside Fraction entries (and Fraction(0) padding), and integer
+    multiples of earlier rows."""
+    ncols = draw(hst.integers(1, 7))
+    rows = []
+    for _ in range(draw(hst.integers(0, 6))):
+        pad = draw(hst.sampled_from((0, Fraction(0))))
+        entry = draw(hst.sampled_from((BIG_INT, BIG_FRACTION)))
+        row = [pad] * ncols
+        for c in draw(hst.sets(hst.integers(0, ncols - 1), max_size=4)):
+            row[c] = draw(entry)
+        rows.append(row)
+    for _ in range(draw(hst.integers(0, 3)) if rows else 0):
+        a = draw(hst.sampled_from(rows))
+        m = draw(hst.integers(-10 ** 6, 10 ** 6))
+        rows.insert(draw(hst.integers(0, len(rows))), [m * x for x in a])
+    return rows, ncols
+
+
+@given(integer_path_matrices())
+@settings(max_examples=300, deadline=None)
+def test_integer_path_matches_dense_reference(case):
+    rows, _ = case
+    # the reference divides, so it gets the same values as Fractions
+    want_pivots, want_rows = dense_rref(
+        [[Fraction(x) for x in row] for row in rows])
+    work = [list(r) for r in rows]
+    pivots = echelon(work)
+    assert pivots == want_pivots
+    assert work[:len(pivots)] == want_rows
+    assert not any(x for row in work[len(pivots):] for x in row)
+    # the reduced rows are written back as Fractions, whatever was read
+    assert all(type(x) is Fraction for row in work for x in row)
+
+
+@given(integer_path_matrices())
+@settings(max_examples=300, deadline=None)
+def test_integer_path_nullspace_is_the_kernel(case):
+    rows, ncols = case
+    basis = nullspace(rows, ncols)
+    for v in basis:
+        assert len(v) == ncols
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    assert rank(basis) == len(basis)
+    assert rank(rows) + len(basis) == ncols
+
+
+@pytest.mark.parametrize("rows", [
+    [[Fraction(1, 3), 0.5], [1, 2]],
+    [[1, 2], [0, 0.25]],
+    [[1.0, 0], [0, 1]],
+], ids=["beside-a-fraction", "alone-in-a-later-row", "integral-float"])
+def test_a_float_entry_raises_type_error_and_is_not_rounded(rows):
+    with pytest.raises(TypeError, match="float"):
+        echelon([list(r) for r in rows])

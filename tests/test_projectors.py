@@ -12,6 +12,7 @@ import uncoiledtl.algebra
 import uncoiledtl.projectors
 from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
 from uncoiledtl.diagrams import flip
+from uncoiledtl.linalg import SingularSystemError
 from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
                                    _cup_states, _fold, _folded_layers,
                                    build_projector_Q, build_X, build_Y,
@@ -1025,6 +1026,14 @@ def test_oracle_past_dense_elimination(kind, n):
     r = sector_of(kind, env, n)
     q = build_projector_Q(gamma_solve(v, n, r, env))
     assert projector_oracle(v, n, r, env).equals(q)
+
+
+def test_a_singular_oracle_system_still_raises(singular_oracle):
+    # projector_checks turns this into its matches_oracle witness
+    singular_oracle("upTL", 3)
+    with pytest.raises(SingularSystemError, match="dimension 0"):
+        projector_oracle(AlgebraVariant("upTL", 3), 3, None,
+                         sample_env(1, "upTL", 3))
 
 
 def test_certificate_bundle():

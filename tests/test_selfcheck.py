@@ -94,6 +94,16 @@ def test_projector_witness_names_the_generator_and_its_side():
         {"idempotent": None, "annihilated": "Q e_0 != 0"}
 
 
+@pytest.mark.parametrize("kind,n", [("upTL", 3), ("uaTL1", 4), ("upTL2", 4)])
+def test_a_singular_oracle_system_names_its_kind_and_size(singular_oracle,
+                                                         kind, n):
+    singular_oracle(kind, n)
+    name, passed, detail = selfcheck.check_projectors(n, n, n, 1)
+    assert (name, passed) == ("projectors", False)
+    assert detail == ("oracle: annihilator has dimension 0, expected 1, "
+                      f"{kind} n={n}")
+
+
 def test_relations_below_their_size_are_reported_skipped():
     # aTL's defining relations start at n = 3; below that nothing is checked
     name, passed, detail = selfcheck.check_relations(2, 0)
