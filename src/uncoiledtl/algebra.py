@@ -29,14 +29,17 @@ DEFAULT_MAX_TERMS = 5_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """An element grew past UTL_MAX_TERMS."""
+    """An element, or the matrix of a module action, grew past
+    UTL_MAX_TERMS."""
 
 
 class InfiniteAlgebraError(ValueError):
     """Basis/dimension requested for an infinite-dimensional variant."""
 
 
-def _max_terms() -> int:
+def max_terms() -> int:
+    """The cap on the terms of an element and the entries of a module
+    matrix."""
     return int(os.environ.get("UTL_MAX_TERMS", DEFAULT_MAX_TERMS))
 
 
@@ -303,7 +306,7 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     variant, env = alg.variant, alg.env
     coeffs_a, sa = over_common_denominator(a.terms.values())
     coeffs_b, sb = over_common_denominator(b.terms.values())
-    cap = _max_terms()
+    cap = max_terms()
     by_top, by_bottom = {}, {}
     for dia, c in zip(a.terms, coeffs_a):
         by_top.setdefault(dia.top, []).append((dia, c))
@@ -412,17 +415,24 @@ def _middle_exponents(variant: AlgebraVariant, d: int, sigma: int):
                  if not variant.even_only or m % 2 == sigma)
 
 
-def _sandwich_triples(variant: AlgebraVariant):
-    """(bottom, top, middle exponents) of the sandwich basis, in
-    Diagram.sort_key order: defect_sectors descends, link_states is sorted,
-    and the middle exponents ascend."""
+def _sectors(variant: AlgebraVariant):
+    """(states, mids) per sector of the sandwich basis, d descending: the
+    link states of B_{n,d}, of which TL keeps those that do not cross the
+    seam, and the middle exponents for sigma = 0 and for sigma = 1."""
     n = variant.n
     for d in variant.defect_sectors():
         states = link_states(n, d)
         if variant.kind == "TL":
             states = tuple(v for v in states if v.crossing_count() == 0)
-        mids = (_middle_exponents(variant, d, 0),
-                _middle_exponents(variant, d, 1))
+        yield states, (_middle_exponents(variant, d, 0),
+                       _middle_exponents(variant, d, 1))
+
+
+def _sandwich_triples(variant: AlgebraVariant):
+    """(bottom, top, middle exponents) of the sandwich basis, in
+    Diagram.sort_key order: defect_sectors descends, link_states is sorted,
+    and the middle exponents ascend."""
+    for states, mids in _sectors(variant):
         for b in states:
             for t in states:
                 yield b, t, mids[sigma_bt(b, t)]
@@ -437,9 +447,18 @@ def basis_enumerate(variant: AlgebraVariant):
 
 
 def basis_dimension(variant: AlgebraVariant) -> int:
-    """len(basis_enumerate(variant)), counted over the same sandwich
-    triples without building a diagram."""
-    return sum(len(mids) for _, _, mids in _sandwich_triples(variant))
+    """len(basis_enumerate(variant)), counted by parity class rather than
+    over the pairs of states: sigma_bt(b, t) is the parity of the crossing
+    counts of b and t together, so a sector with E states of even crossing
+    count and O of odd has E*E + O*O pairs with sigma = 0 and 2*E*O with
+    sigma = 1."""
+    total = 0
+    for states, (mids0, mids1) in _sectors(variant):
+        odd = sum(v.crossing_count() % 2 for v in states)
+        even = len(states) - odd
+        total += ((even * even + odd * odd) * len(mids0)
+                  + 2 * even * odd * len(mids1))
+    return total
 
 
 def dimension_closed_form(variant: AlgebraVariant) -> int:

@@ -11,9 +11,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import diagrams
-from .algebra import Algebra, AlgebraElement, AlgebraVariant, ResourceLimitError
+from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
+                      ResourceLimitError, max_terms)
 from .diagrams import Diagram, LinkState, act_on_state, link_states
-from .scalars import NonGenericParameterError, ParamEnv
+from .scalars import (NonGenericParameterError, ParamEnv,
+                      over_common_denominator, ratio)
 
 MAX_BRAID_N = 8
 MAX_CHEBYSHEV_DEGREE = 24
@@ -48,13 +50,30 @@ class StandardModule:
         """The action's weights beta^b alpha^nc z^e, memoized by (b, nc, e)."""
         return {}
 
+    def weight(self, key):
+        """beta^b alpha^nc z^e for the key (b, nc, e)."""
+        coeff = self.weights.get(key)
+        if coeff is None:
+            beta_exp, nc, z_exp = key
+            env = self.env
+            coeff = env.one
+            if beta_exp:
+                coeff = coeff * env.beta ** beta_exp
+            if nc:
+                coeff = coeff * self.alpha ** nc
+            if z_exp:
+                coeff = coeff * self.z ** z_exp
+            self.weights[key] = coeff
+        return coeff
+
     def to_json(self):
         from .scalars import scalar_to_json
         return {"n": self.n, "d": self.d, "z": scalar_to_json(self.z)}
 
 
-def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
-    """c . w with the twist bookkeeping; None when two defects join."""
+def action_key(c: Diagram, w: LinkState, module: StandardModule):
+    """c . w as (weight key, state), the weight being module.weight(key);
+    None when two defects join."""
     res = act_on_state(c, w)
     if res is None:
         return None
@@ -63,35 +82,68 @@ def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
         nc += c.mid  # loops already stored on the diagram weigh alpha too
     if nc and module.d > 0:
         raise AssertionError("non-contractible loop in a d > 0 action")
-    key = (beta_exp, nc, z_exp)
-    coeff = module.weights.get(key)
-    if coeff is None:
-        env = module.env
-        coeff = env.one
-        if beta_exp:
-            coeff = coeff * env.beta ** beta_exp
-        if nc:
-            coeff = coeff * module.alpha ** nc
-        if z_exp:
-            coeff = coeff * module.z ** z_exp
-        module.weights[key] = coeff
-    return coeff, state
+    return (beta_exp, nc, z_exp), state
+
+
+def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
+    """c . w with the twist bookkeeping; None when two defects join."""
+    res = action_key(c, w, module)
+    if res is None:
+        return None
+    key, state = res
+    return module.weight(key), state
+
+
+def _action_numerators(a, module: StandardModule):
+    """The action of a diagram or an algebra element on the ordered basis
+    of B_{n,d} as ({row * dim + column: numerator}, denominator).
+
+    The coefficients of a are put over one common denominator, and each
+    (cell, weight key) adds up their int numerators.  The handful of
+    distinct weights are then put over one denominator too, so each cell
+    is one int sum.  A complex value is its own numerator over 1, so the
+    float backend runs the same code.  Raises ResourceLimitError before
+    any work once the dim x dim matrix would pass UTL_MAX_TERMS.
+    """
+    basis = module.basis
+    dim = len(basis)
+    cap = max_terms()
+    if dim * dim > cap:
+        raise ResourceLimitError(
+            f"a {dim} x {dim} module matrix exceeds UTL_MAX_TERMS={cap}")
+    index = {s: i for i, s in enumerate(basis)}
+    terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
+    coeffs, den = over_common_denominator(terms.values())
+    parts = {}  # weight key -> {cell: int sum}
+    for dia, c in zip(terms, coeffs):
+        for j, state in enumerate(basis):
+            res = action_key(dia, state, module)
+            if res is not None:
+                key, image = res
+                part = parts.get(key)
+                if part is None:
+                    part = parts[key] = {}
+                cell = index[image] * dim + j
+                part[cell] = part.get(cell, 0) + c
+    factors, common = over_common_denominator(map(module.weight, parts))
+    sums = {}
+    for f, part in zip(factors, parts.values()):
+        for cell, val in part.items():
+            sums[cell] = sums.get(cell, 0) + val * f
+    return sums, den * common
 
 
 def matrix_of(a, module: StandardModule):
     """Row-major matrix of the action of a diagram or an algebra element on
-    the ordered basis of B_{n,d}."""
-    basis = module.basis
-    dim = len(basis)
-    index = {s: i for i, s in enumerate(basis)}
+    the ordered basis of B_{n,d}: one ratio per nonzero cell of
+    ``_action_numerators``."""
+    sums, den = _action_numerators(a, module)
+    dim = len(module.basis)
     rows = [[module.env.zero] * dim for _ in range(dim)]
-    terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
-    for dia, ca in terms.items():
-        for j, state in enumerate(basis):
-            res = act_diagram(dia, state, module)
-            if res is not None:
-                coeff, image = res
-                rows[index[image]][j] += ca * coeff
+    for cell, val in sums.items():
+        if val:
+            i, j = divmod(cell, dim)
+            rows[i][j] = ratio(val, den)
     return rows
 
 
@@ -220,20 +272,24 @@ def central_matrix(n: int, which: str, module: StandardModule, k=None):
     representation property, itself part of the verification suite), so
     this equals the matrix of the element-level recurrence while staying
     tractable at 2nk = 24.  The recurrence runs on integers: with
-    matrix_of(F) = A / D for an int matrix A and the least common
-    denominator D of its entries, B_j = D^j U_j(F) obeys
-    B_j = A B_{j-1} - D^2 B_{j-2} from B_0 = 2I and B_1 = A, and
-    2 T_m(F/2) = B_m / D^m is divided out once at the end.  The entries of
-    matrix_of(F) must be rational (the exact backend).
+    matrix_of(F) = A / D for the int matrix A of ``_action_numerators`` and
+    D least (both divided by their gcd, as D is raised to the power m),
+    B_j = D^j U_j(F) obeys B_j = A B_{j-1} - D^2 B_{j-2} from B_0 = 2I and
+    B_1 = A, and 2 T_m(F/2) = B_m / D^m is divided out once at the end.
+    The entries of matrix_of(F) must be rational (the exact backend).
     """
     env = module.env
     if which != "H":
         return matrix_of(build_central(n, which, env), module)
     m = _chebyshev_degree(n, k)
-    fmat = matrix_of(braid_transfer(n, env), module)
-    dim = len(fmat)
-    den = math.lcm(*(x.denominator for row in fmat for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in fmat]
+    sums, den = _action_numerators(braid_transfer(n, env), module)
+    g = math.gcd(den, *sums.values())
+    den //= g
+    dim = len(module.basis)
+    a = [[0] * dim for _ in range(dim)]
+    for cell, val in sums.items():
+        i, j = divmod(cell, dim)
+        a[i][j] = val // g
     den2 = den * den
     prev = [[(2 if i == j else 0) for j in range(dim)] for i in range(dim)]
     cur = a if m else prev

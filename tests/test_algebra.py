@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as hst
 
 from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
                                 InfiniteAlgebraError, ResourceLimitError,
-                                basis_dimension, basis_enumerate,
-                                dimension_closed_form, psi_bilinear, reduce)
+                                _sandwich_triples, basis_dimension,
+                                basis_enumerate, dimension_closed_form,
+                                psi_bilinear, reduce)
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, e, identity,
                                  link_states, multiply_raw, omega)
 from uncoiledtl.projectors import wenzl_jones_P
@@ -383,6 +384,19 @@ def test_basis_dimension_counts_the_enumerated_basis():
             except ValueError:
                 continue  # wrong parity for this kind
             assert basis_dimension(v) == len(basis_enumerate(v)), (kind, n)
+
+
+def test_parity_class_count_equals_the_pair_count():
+    # basis_dimension counts by crossing parity; the sandwich triples walk
+    # every pair of states, to n = 11 (the comparison above stops at 8)
+    for kind in ("TL", "uaTL", "upTL", "uaTL1", "upTL1", "uaTL2", "upTL2"):
+        for n in range(1, 12):
+            try:
+                v = AlgebraVariant(kind, n)
+            except ValueError:
+                continue  # wrong parity for this kind
+            pairs = sum(len(mids) for _, _, mids in _sandwich_triples(v))
+            assert basis_dimension(v) == pairs, (kind, n)
 
 
 def test_basis_examples():

@@ -135,6 +135,26 @@ def test_central_H_command(capsys):
     assert all(r["scalar_action"] for r in doc["results"])
 
 
+def test_central_omega_n_past_the_matrix_cap_exits_3(capsys):
+    # W_{14,0,z} has 3,432 states: 11.8M entries pass UTL_MAX_TERMS
+    start = time.perf_counter()
+    code, out = capture(capsys, ["central", "--which", "OmegaN", "--n", "14",
+                                 "--seed", "1"])
+    assert code == 3 and out == ""
+    assert time.perf_counter() - start < 5  # refused before the matrix
+
+
+def test_central_omega_n_under_a_raised_matrix_cap(capsys, monkeypatch):
+    # W_{8,0,z} has 70 states: its 4,900 entries need UTL_MAX_TERMS >= 4900
+    argv = ["central", "--which", "OmegaN", "--n", "8", "--seed", "1"]
+    monkeypatch.setenv("UTL_MAX_TERMS", "4899")
+    assert capture(capsys, argv) == (3, "")
+    monkeypatch.setenv("UTL_MAX_TERMS", "4900")
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert all(r["scalar_action"] for r in json.loads(out)["results"])
+
+
 def test_selfcheck_ok_and_fault_injection(capsys, monkeypatch):
     code, out = capture(capsys, ["selfcheck", "--max-n", "3"])
     assert code == 0

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from uncoiledtl.algebra import Algebra, AlgebraVariant, ResourceLimitError
-from uncoiledtl.diagrams import DEFECT, LinkState, e, omega
+from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
+                                ResourceLimitError)
+from uncoiledtl.diagrams import DEFECT, LinkState, act_on_state, e, omega
 from uncoiledtl.reps import (StandardModule, act_diagram, braid_transfer,
                              build_central, central_eigenvalue,
                              central_matrix, is_scalar_action, matrix_of)
@@ -283,6 +284,121 @@ def test_matrix_of_rejects_a_diagram_of_another_size(env_atl5):
     m = StandardModule(5, 1, env_atl5.z, env_atl5)
     with pytest.raises(ValueError, match="size mismatch"):
         matrix_of(e(4, 1), m)
+
+
+def _matrix_of_reference(a, module):
+    """matrix_of by pairwise Fraction sums: each (diagram, state) adds its
+    coefficient times its weight beta^b alpha^nc z^e, computed here from
+    act_on_state, to its cell."""
+    env = module.env
+    basis = module.basis
+    index = {s: i for i, s in enumerate(basis)}
+    rows = [[0] * len(basis) for _ in basis]
+    terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
+    for dia, c in terms.items():
+        for j, state in enumerate(basis):
+            res = act_on_state(dia, state)
+            if res is None:
+                continue
+            b, nc, z_exp, image = res
+            if dia.d == 0:
+                nc += dia.mid
+            weight = env.beta ** b * module.alpha ** nc * module.z ** z_exp
+            rows[index[image]][j] += c * weight
+    return rows
+
+
+def _random_element(alg, rng, coeff):
+    """A sum of up to four words of length up to three in the e_j and
+    Omega^(+-1), each with a coefficient drawn by coeff(rng)."""
+    n = alg.n
+    gens = [alg.e(j) for j in range(n)] + [alg.omega(), alg.omega(-1)]
+    out = alg.zero()
+    for _ in range(rng.randint(1, 4)):
+        word = alg.one()
+        for _ in range(rng.randint(0, 3)):
+            word = word * rng.choice(gens)
+        out = out + coeff(rng) * word
+    return out
+
+
+def test_matrix_of_matches_pairwise_fraction_reference():
+    # random aTL elements on every standard module at n <= 6
+    rng = random.Random(18)
+
+    def coeff(rng):
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    for n in range(2, 7):
+        env = sample_env(n, "aTL", n)
+        alg = Algebra(AlgebraVariant("aTL", n), env)
+        for d in range(n % 2, n + 1, 2):
+            m = StandardModule(n, d, env.z, env)
+            for _ in range(8):
+                a = _random_element(alg, rng, coeff)
+                assert matrix_of(a, m) == _matrix_of_reference(a, m), (n, d)
+
+
+def test_matrix_of_a_cell_that_cancels_to_zero():
+    # beta e_1 - e_1 e_3 on {(1,2),(3,4)}: beta * beta - 1 * beta^2 = 0,
+    # summed from two weight keys (one loop, two loops)
+    env = sample_env(3, "aTL", 4)
+    alg = Algebra(AlgebraVariant("aTL", 4), env)
+    m = StandardModule(4, 0, env.z, env)
+    a = env.beta * alg.e(1) - alg.e(1) * alg.e(3)
+    i = m.basis.index(st((1, False), (0, False), (3, False), (2, False)))
+    ref = _matrix_of_reference(a, m)
+    assert ref[i][i] == 0
+    mat = matrix_of(a, m)
+    assert mat == ref
+    assert mat[i][i] == 0 and any(x for row in mat for x in row)
+
+
+def test_matrix_of_a_bare_diagram(env_atl5):
+    env = env_atl5
+    for d in (1, 3, 5):
+        m = StandardModule(5, d, env.z, env)
+        for dia in (e(5, 0), e(5, 3), omega(5), omega(5, -2)):
+            assert matrix_of(dia, m) == _matrix_of_reference(dia, m), (d, dia)
+
+
+def test_matrix_of_large_and_mixed_denominators():
+    rng = random.Random(5)
+    dens = (1, 7, 2 ** 61 - 1, 10 ** 30 + 57, 3 ** 40)
+
+    def coeff(rng):
+        if rng.random() < 0.25:
+            return rng.randint(-10 ** 20, 10 ** 20)  # a plain int
+        return Fraction(rng.randint(-10 ** 25, 10 ** 25), rng.choice(dens))
+
+    for n in (3, 4, 5):
+        env = sample_env(n + 20, "aTL", n)
+        alg = Algebra(AlgebraVariant("aTL", n), env)
+        for d in range(n % 2, n + 1, 2):
+            m = StandardModule(n, d, env.z, env)
+            for _ in range(3):
+                a = _random_element(alg, rng, coeff)
+                assert matrix_of(a, m) == _matrix_of_reference(a, m), (n, d)
+
+
+def test_matrix_of_float_backend_matches_reference():
+    rng = random.Random(7)
+
+    def coeff(rng):
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    for n in (3, 4, 5):
+        env = sample_env(n, "aTL", n).to_float()
+        alg = Algebra(AlgebraVariant("aTL", n), env)
+        for d in range(n % 2, n + 1, 2):
+            m = StandardModule(n, d, env.z, env)
+            for _ in range(3):
+                a = _random_element(alg, rng, coeff)
+                got, want = matrix_of(a, m), _matrix_of_reference(a, m)
+                scale = max(1.0, max(abs(x) for row in want for x in row))
+                assert all(abs(x - y) <= 1e-9 * scale
+                           for rg, rw in zip(got, want)
+                           for x, y in zip(rg, rw)), (n, d)
 
 
 def test_module_serialization(env_atl5):
