@@ -86,7 +86,15 @@ def _emit(doc, args) -> None:
     if getattr(args, "format", "json") == "art" and "art" in doc:
         print(doc["art"])
     else:
-        print(json.dumps(doc, sort_keys=True))
+        # json writes an int through str(), which refuses more digits than
+        # the interpreter's limit (4300 by default): lift it for this call
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(doc, sort_keys=True)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        print(text)
 
 
 def cmd_dims(args) -> int:

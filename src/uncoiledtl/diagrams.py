@@ -28,55 +28,52 @@ DEFECT = None  # node descriptor for a defect; arcs are (partner, crosses)
 
 
 class LinkState:
-    """An annular link state: n nodes, each a defect or one end of an arc."""
+    """An annular link state: n nodes, each a defect or one end of an arc.
 
-    __slots__ = ("n", "nodes", "defects", "cover", "n_crossing", "_hash")
+    Stored as ``cover``: for node i, the cover position of its partner as
+    seen from i in the principal copy (None at a defect), so an arc crosses
+    the seam exactly when that position lies outside [0, n).  Equality, hash
+    and order read ``cover``; ``nodes`` gives the same state as descriptors,
+    ``(partner, crosses)`` or DEFECT.  ``LinkState(nodes)`` checks outside
+    input; the package builds its own states through ``_state``.
+    """
 
-    def __init__(self, nodes, validate=True):
-        nodes = tuple(tuple(x) if isinstance(x, list) else x for x in nodes)
-        object.__setattr__(self, "n", len(nodes))
-        object.__setattr__(self, "nodes", nodes)
-        n = self.n
-        defects = []
+    __slots__ = ("n", "cover", "defects", "n_crossing", "_hash")
+
+    def __init__(self, nodes):
+        nodes = list(nodes)
+        n = len(nodes)
         cover = [None] * n
-        crossing = 0
-        for i, desc in enumerate(nodes):
-            if desc is DEFECT:
-                defects.append(i)
-                continue
-            j, crosses = desc
-            if not crosses:
-                cover[i] = j
-            else:
-                cover[i] = j - n if i < j else j + n
-                crossing += 1
-        object.__setattr__(self, "defects", tuple(defects))
-        object.__setattr__(self, "cover", tuple(cover))
-        object.__setattr__(self, "n_crossing", crossing // 2)
-        object.__setattr__(self, "_hash", hash((n, nodes)))
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        n, nodes = self.n, self.nodes
         for i, desc in enumerate(nodes):
             if desc is DEFECT:
                 continue
+            if not isinstance(desc, (tuple, list)) or len(desc) != 2:
+                raise ValueError(f"bad descriptor {desc!r} at node {i}")
             j, crosses = desc
-            if not 0 <= j < n or j == i:
-                raise ValueError(f"bad partner {j} at node {i}")
-            back = nodes[j]
-            if back is DEFECT or back[0] != i or back[1] != crosses:
+            if type(j) is not int or not 0 <= j < n or j == i:
+                raise ValueError(f"bad partner {j!r} at node {i}")
+            if type(crosses) is not bool:
+                raise ValueError(f"bad seam flag {crosses!r} at node {i}")
+            cover[i] = (j - n if i < j else j + n) if crosses else j
+        for i, x in enumerate(cover):
+            if x is not None and cover[x % n] != i + x % n - x:
                 raise ValueError(f"pairing not involutive at node {i}")
+        self._set(tuple(cover))
         if not self._planar():
             raise ValueError("link state is not planar on the annulus")
+
+    def _set(self, cover: tuple):
+        self.n = len(cover)
+        self.cover = cover
+        self.defects = tuple(i for i, x in enumerate(cover) if x is None)
+        self.n_crossing = sum(1 for x in cover if x is not None and x < 0)
+        self._hash = hash(cover)
 
     def _planar(self):
         """Noncrossing in the cover; no defect is overarched."""
         n = self.n
-        lifts = []
-        for i, j, crosses in self.arcs():
-            lifts.append((j - n, i) if crosses else (i, j))
+        lifts = [(i, x) for i, x in enumerate(self.cover)
+                 if x is not None and x > i]
         for (a1, b1), (a2, b2) in itertools.combinations(lifts, 2):
             for k in (-n, 0, n):
                 a, b = a2 + k, b2 + k
@@ -90,26 +87,25 @@ class LinkState:
         return True
 
     @property
+    def nodes(self) -> tuple:
+        n = self.n
+        return tuple(DEFECT if x is None else (x % n, not 0 <= x < n)
+                     for x in self.cover)
+
+    @property
     def d(self) -> int:
         return len(self.defects)
-
-    def arcs(self):
-        """Each arc once, as (i, j, crosses) with i < j."""
-        out = []
-        for i, desc in enumerate(self.nodes):
-            if desc is not DEFECT and i < desc[0]:
-                out.append((i, desc[0], desc[1]))
-        return out
 
     def crossing_count(self) -> int:
         return self.n_crossing
 
     def sort_key(self):
-        return tuple((0, 0, 0) if x is DEFECT else (1, x[0], int(x[1]))
-                     for x in self.nodes)
+        n = self.n
+        return tuple((0, 0, 0) if x is None
+                     else (1, x % n, int(not 0 <= x < n)) for x in self.cover)
 
     def __eq__(self, other):
-        return isinstance(other, LinkState) and self.nodes == other.nodes
+        return isinstance(other, LinkState) and self.cover == other.cover
 
     def __hash__(self):
         return self._hash
@@ -119,27 +115,41 @@ class LinkState:
 
     def art(self) -> str:
         """One-character glyph per node: | defect, ( ) plain arc, < > seam arc."""
-        out = []
-        for i, desc in enumerate(self.nodes):
-            if desc is DEFECT:
-                out.append("|")
-            else:
-                j, crosses = desc
-                if crosses:
-                    out.append("<" if i < j else ">")
-                else:
-                    out.append("(" if i < j else ")")
-        return "".join(out)
+        n = self.n
+        return "".join("|" if x is None else "<" if x < 0 else ">" if x >= n
+                       else "(" if x > i else ")"
+                       for i, x in enumerate(self.cover))
 
     def to_json(self):
-        return [("D" if x is DEFECT else {"p": x[0], "seam": bool(x[1])})
+        return [("D" if x is DEFECT else {"p": x[0], "seam": x[1]})
                 for x in self.nodes]
 
     @staticmethod
     def from_json(entries):
-        nodes = [DEFECT if e == "D" else (e["p"], bool(e["seam"]))
-                 for e in entries]
+        if not isinstance(entries, list):
+            raise ValueError(f"link state must be a list, got {entries!r}")
+        nodes = []
+        for e in entries:
+            if e == "D":
+                nodes.append(DEFECT)
+            elif isinstance(e, dict) and "p" in e and "seam" in e:
+                nodes.append((e["p"], e["seam"]))
+            else:
+                raise ValueError(f"bad link state entry {e!r}")
         return LinkState(nodes)
+
+
+_state_pool: dict = {}
+
+
+def _state(cover: tuple) -> LinkState:
+    """The interned state with these partner cover positions, unchecked:
+    every state the package builds, planar by construction."""
+    st = _state_pool.get(cover)
+    if st is None:
+        st = _state_pool[cover] = LinkState.__new__(LinkState)
+        st._set(cover)
+    return st
 
 
 def parity(v: LinkState) -> int:
@@ -154,9 +164,8 @@ def sigma_bt(b: LinkState, t: LinkState) -> int:
     return (b.crossing_count() + t.crossing_count()) % 2
 
 
-@lru_cache(maxsize=None)
 def all_defect(n: int) -> LinkState:
-    return LinkState((DEFECT,) * n, validate=False)
+    return _state((None,) * n)
 
 
 def _matchings(positions):
@@ -180,7 +189,8 @@ def link_states(n: int, d: int):
     defects, matched noncrossing in the cover.  With none, the arcs are the
     cyclic bracket matching of a choice of n/2 left ends, read from a node
     where the bracket depth is least.  An arc from cover position a to
-    b > a crosses the seam when a < n <= b."""
+    b > a is seen from node a % n at b - (a // n) n, and from node b % n
+    at a - (b // n) n."""
     if d < 0 or d > n or (n - d) % 2:
         raise ValueError(f"no link states with n={n}, d={d}")
     arcsets = []
@@ -207,12 +217,11 @@ def link_states(n: int, d: int):
             arcsets.append(arcs)
     out = []
     for arcs in arcsets:
-        nodes = [DEFECT] * n
+        cover = [None] * n
         for a, b in arcs:
-            crosses = a < n <= b
-            nodes[a % n] = (b % n, crosses)
-            nodes[b % n] = (a % n, crosses)
-        out.append(LinkState(nodes))
+            cover[a % n] = b - a // n * n
+            cover[b % n] = a - b // n * n
+        out.append(_state(tuple(cover)))
     out.sort(key=LinkState.sort_key)
     return tuple(out)
 
@@ -269,8 +278,10 @@ class Diagram:
 
     @staticmethod
     def from_json(obj):
-        return Diagram(LinkState.from_json(obj["bottom"]),
-                       LinkState.from_json(obj["top"]), obj["mid"])
+        if not isinstance(obj, dict) or type(obj.get("mid")) is not int:
+            raise ValueError(f"diagram needs an int mid: {obj!r}")
+        return Diagram(LinkState.from_json(obj.get("bottom")),
+                       LinkState.from_json(obj.get("top")), obj["mid"])
 
 
 def flip(c: Diagram) -> Diagram:
@@ -300,29 +311,29 @@ def e(n: int, j: int) -> Diagram:
     labels; e_0 is the one wrapping the seam."""
     if n < 2 or not 0 <= j <= n - 1:
         raise ValueError(f"e_{j} undefined for n={n}")
-    nodes = [DEFECT] * n
+    cover = [None] * n
     if j == 0:
-        nodes[n - 1] = (0, True)
-        nodes[0] = (n - 1, True)
+        cover[n - 1], cover[0] = n, -1
     else:
-        nodes[j - 1] = (j, False)
-        nodes[j] = (j - 1, False)
-    v = LinkState(nodes, validate=False)
+        cover[j - 1], cover[j] = j, j - 1
+    v = _state(tuple(cover))
     return Diagram(v, v, 0)
+
+
+def cup_state(n: int, k: int) -> LinkState:
+    """The link state with k nested seam-crossing arcs {j, n-1-j} and
+    n - 2k central defects (the only states surviving P_n on both sides)."""
+    if not 0 <= 2 * k <= n:
+        raise ValueError(f"cup state needs 0 <= 2k <= n, got k={k}")
+    cover = [None] * n
+    for j in range(k):
+        cover[j], cover[n - 1 - j] = -1 - j, n + j
+    return _state(tuple(cover))
 
 
 # -- tracing -----------------------------------------------------------------
 
-_state_pool: dict = {}
 _diagram_pool: dict = {}
-
-
-def _intern_state(nodes: tuple) -> LinkState:
-    """Interned construction for traced (pre-validated) states."""
-    st = _state_pool.get(nodes)
-    if st is None:
-        st = _state_pool[nodes] = LinkState(nodes, validate=False)
-    return st
 
 
 def intern_diagram(bottom: LinkState, top: LinkState, mid: int) -> Diagram:
@@ -375,15 +386,7 @@ def from_cover(bot, top, through, loops: int) -> Diagram:
     defect survives.
     """
     n = len(bot)
-    faces = []
-    for partners in (bot, top):
-        nodes = [DEFECT] * n
-        for i, x in enumerate(partners):
-            if x is not None:
-                j = x % n
-                nodes[i] = (j, j != x)
-        faces.append(_intern_state(tuple(nodes)))
-    bottom, top_state = faces
+    bottom, top_state = _state(tuple(bot)), _state(tuple(top))
     d = bottom.d
     if not d:
         return intern_diagram(bottom, top_state, loops)
@@ -597,17 +600,13 @@ def outer_face(state: LinkState, shift: int, pairs, live, anchor: int,
     n, defects = state.n, state.defects
     d = len(defects)
     if pairs:
-        nodes = list(state.nodes)
+        cover = list(state.cover)
         for a, b in pairs:
             qa, ra = divmod(a - shift, d)
             qb, rb = divmod(b - shift, d)
-            i = defects[ra]
-            x = defects[rb] + n * (qb - qa)
-            j = x % n
-            crosses = j != x
-            nodes[i] = (j, crosses)
-            nodes[j] = (i, crosses)
-        state = _intern_state(tuple(nodes))
+            i, j, w = defects[ra], defects[rb], n * (qb - qa)
+            cover[i], cover[j] = j + w, i - w
+        state = _state(tuple(cover))
     if not d_new:
         return state, None
     q, r = divmod(anchor - shift, d)

@@ -39,7 +39,7 @@ from operator import itemgetter
 from . import diagrams, linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant, _reduce_mid,
                       basis_enumerate, is_idempotent, reduce)
-from .diagrams import DEFECT, Diagram, LinkState, identity as id_diagram
+from .diagrams import Diagram, cup_state, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
                       UNCOILED_KINDS, gamma_hat, over_common_denominator,
                       qladder, qnum, ratio, split, validate_env)
@@ -96,19 +96,6 @@ def wenzl_jones_P(m: int, alg: Algebra, offset: int = 0) -> AlgebraElement:
 
 
 # -- sandwich building blocks -------------------------------------------------
-
-@lru_cache(maxsize=None)
-def cup_state(n: int, k: int) -> LinkState:
-    """The link state with k nested seam-crossing arcs {j, n-1-j} and
-    n - 2k central defects (the only states surviving P_n on both sides)."""
-    if not 0 <= 2 * k <= n:
-        raise ValueError(f"cup state needs 0 <= 2k <= n, got k={k}")
-    nodes = [DEFECT] * n
-    for j in range(k):
-        nodes[j] = (n - 1 - j, True)
-        nodes[n - 1 - j] = (j, True)
-    return LinkState(nodes)
-
 
 def cup_diagram(n: int, k: int, l2: int) -> Diagram:
     """The middle sandwich piece: cup state below and above, winding l2 on

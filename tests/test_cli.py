@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from uncoiledtl import cli, selfcheck
+from uncoiledtl.algebra import AlgebraVariant, dimension_closed_form
 from uncoiledtl.cli import run
 from uncoiledtl.projectors import gamma_solve
+from uncoiledtl.scalars import _int_to_str
 
 
 def capture(capsys, argv):
@@ -321,6 +323,32 @@ def test_uatl1_needs_a_unit_full_turn():
 def test_dims_explicit_size_must_be_admitted():
     assert _error_code(["dims", "--algebra", "uatl", "--n", "0"]) == 3
     assert _error_code(["dims", "--algebra", "uatl", "--n", "4"]) == 3
+
+
+@pytest.mark.parametrize("algebra, kind, n", [("uatl", "uaTL", 7201),
+                                               ("tl", "TL", 7200),
+                                               ("uptl1", "upTL1", 7200)])
+def test_dims_prints_dimensions_past_the_str_digit_limit(algebra, kind, n):
+    code, out, err = _run_quiet(["dims", "--algebra", algebra, "--n", str(n)])
+    assert code == 0, err
+    digits = _int_to_str(dimension_closed_form(AlgebraVariant(kind, n)))
+    assert len(digits) > 4300
+    assert out == (f'{{"algebra": "{algebra}", "results": '
+                   f'[{{"closed_form": {digits}, "n": {n}}}]}}\n')
+
+
+@pytest.mark.parametrize("limit", [None, 1000])
+def test_dims_leaves_the_str_digit_limit_as_it_was(limit):
+    before = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        want = sys.get_int_max_str_digits()
+        assert _run_quiet(["dims", "--algebra", "uatl", "--n", "7201"])[0] == 0
+        assert _run_quiet(["dims", "--algebra", "uatl", "--n", "5"])[0] == 0
+        assert sys.get_int_max_str_digits() == want
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_gamma_prints_integers_past_the_str_digit_limit():

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, act_on_state,
                                  all_defect, e, flip, identity, link_states,
                                  multiply_raw, omega, omega_inv, parity)
+from uncoiledtl.scalars import ALL_KINDS, sample_env
 
 D = DEFECT
 
@@ -75,6 +77,77 @@ def test_planarity_rejected():
     # non-involutive pairing
     with pytest.raises(ValueError):
         LinkState([(1, False), (0, True)])
+
+
+DIAGRAM_JSON = e(4, 0).to_json()
+
+
+@pytest.mark.parametrize("build, arg", [
+    (LinkState, [(1.5, False), (0, False)]),         # float partner
+    (LinkState, [("1", False), (0, False)]),         # string partner
+    (LinkState, [(True, False), (0, False)]),        # bool partner
+    (LinkState, [(2, False), D, (0, False, 0)]),     # three-entry descriptor
+    (LinkState, [1, 0]),                             # bare int descriptors
+    (LinkState, [(1, 2), (0, 2)]),                   # seam flag 2
+    (LinkState, [(1, 1), (0, 1)]),                   # seam flag 1
+    (LinkState, [(2, False), D]),                    # partner out of range
+    (LinkState.from_json, [{"seam": False}, {"p": 0, "seam": False}]),
+    (LinkState.from_json, [{"p": 1}, {"p": 0, "seam": False}]),
+    (LinkState.from_json, [5, "D"]),                 # neither "D" nor a dict
+    (LinkState.from_json, "DD"),                     # not a list
+    (LinkState.from_json, [{"p": 1, "seam": 0}, {"p": 0, "seam": 0}]),
+    (Diagram.from_json,
+     {k: v for k, v in DIAGRAM_JSON.items() if k != "mid"}),
+    (Diagram.from_json, dict(DIAGRAM_JSON, mid="0")),
+    (Diagram.from_json, dict(DIAGRAM_JSON, mid=0.0)),
+    (Diagram.from_json, dict(DIAGRAM_JSON, bottom=None)),
+    (Diagram.from_json, [DIAGRAM_JSON]),
+])
+def test_outside_input_is_rejected_with_value_error(build, arg):
+    with pytest.raises(ValueError):
+        build(arg)
+
+
+def _assert_descriptor_built(v):
+    # the stored cover positions and the descriptors are one state
+    w = LinkState(v.nodes)
+    assert w == v and hash(w) == hash(v) and w.sort_key() == v.sort_key()
+
+
+def test_descriptors_rebuild_every_enumerated_state():
+    for n in range(1, 13):
+        for d in range(n % 2, n + 1, 2):
+            for v in link_states(n, d):
+                _assert_descriptor_built(v)
+                assert LinkState(v.nodes).art() == v.art()
+                assert LinkState.from_json(v.to_json()) == v
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_traced_faces_equal_descriptor_built_states(kind):
+    """The faces from_cover (multiply_raw) and outer_face (mul) write as
+    cover positions are the states their descriptors build."""
+    rng = random.Random(kind)
+    for n in range(1, 8):
+        try:
+            variant = AlgebraVariant(kind, n)
+        except ValueError:
+            continue
+        if kind in ("aTL", "pTL"):
+            pool = [Diagram(b, t, m) for d in range(n % 2, n + 1, 2)
+                    for b in link_states(n, d) for t in link_states(n, d)
+                    for m in (range(-d, d + 1) if d else range(2))]
+            pool = [c for c in pool if kind == "aTL" or c.is_even()]
+        else:
+            pool = basis_enumerate(variant)
+        alg = Algebra(variant, sample_env(0, kind, n))
+        for _ in range(60):
+            a, b = rng.choice(pool), rng.choice(pool)
+            dias = [multiply_raw(a, b)[0]]
+            dias += (alg.from_diagram(a) * alg.from_diagram(b)).terms
+            for dia in dias:
+                _assert_descriptor_built(dia.bottom)
+                _assert_descriptor_built(dia.top)
 
 
 def test_generators():
