@@ -132,19 +132,21 @@ def reduce(c: Diagram, variant: AlgebraVariant, env: ParamEnv):
         return 0, None
     if m == c.mid:
         return coeff, c
-    return coeff, diagrams.intern_diagram(c.bottom, c.top, m)
+    return coeff, Diagram(c.bottom, c.top, m)
 
 
 class Algebra:
-    """A variant together with a parameter point; element factory."""
+    """A variant together with a parameter point; element factory, and the
+    owner of what is computed at the point (reduce memo, projector blocks)."""
 
     def __init__(self, variant: AlgebraVariant, env: ParamEnv):
         self.variant = variant
         self.env = env
-        # diagram -> (id of its reduction scalar, reduced diagram); ids
-        # number the distinct scalars in order of first use
+        # (bottom, top, mid) -> (id of its reduction scalar, reduced
+        # diagram); ids number the distinct scalars in order of first use
         self._reduce_memo: dict = {}
         self._scalar_ids: dict = {}
+        self._blocks: dict = {}  # (builder, key) -> element
 
     @property
     def n(self) -> int:
@@ -227,8 +229,13 @@ class AlgebraElement:
         return self.scaled(other)
 
     def _check(self, other):
-        if self.algebra.variant != other.algebra.variant:
+        a, b = self.algebra, other.algebra
+        if a is b:
+            return
+        if a.variant != b.variant:
             raise ValueError("variant mismatch")
+        if a.env != b.env:
+            raise ValueError("parameter point mismatch")
 
     def coefficient(self, dia: Diagram):
         return self.terms.get(dia, 0)
@@ -375,11 +382,11 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         k, m = divmod(k, width)
         k, ti = divmod(k, nt)
         beta_exp, bi = divmod(k, nb)
-        dia = diagrams.intern_diagram(bottoms[bi], tops[ti], m - off)
-        hit = rmemo.get(dia)
+        key = bottoms[bi], tops[ti], m - off
+        hit = rmemo.get(key)
         if hit is None:
-            s, dr = reduce(dia, variant, env)
-            hit = rmemo[dia] = (sids.setdefault(s, len(sids)), dr)
+            s, dr = reduce(Diagram(*key), variant, env)
+            hit = rmemo[key] = (sids.setdefault(s, len(sids)), dr)
         sid, dr = hit
         if dr is None:
             continue

@@ -83,7 +83,7 @@ def _build_env(args, kind: str, n: int) -> ParamEnv:
 
 
 def _emit(doc, args) -> None:
-    if getattr(args, "format", "json") == "art" and "art" in doc:
+    if getattr(args, "format", "json") == "art":  # basis alone takes it
         print(doc["art"])
     else:
         # json writes an int through str(), which refuses more digits than
@@ -233,34 +233,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="uncoiled Temperley-Lieb algebras: enumeration, "
                     "projectors, verification")
     sub = p.add_subparsers(dest="command", required=True)
+    # the flags several subcommands share, each given only to those that
+    # read it
+    shared = {
+        "--algebra": {"choices": sorted(ALGEBRA_NAMES), "required": True},
+        "--seed": {"type": int, "default": 0},
+        "--q-half": {"dest": "q_half", "metavar": "P/Q"},
+        "--alpha": {"metavar": "P/Q"},
+        "--gamma": {"metavar": "P/Q"},
+        "--gamma-root": {"dest": "gamma_root", "metavar": "P/Q",
+                         "help": "omega; sets gamma = omega^n"},
+        "--z": {"metavar": "P/Q"},
+        "--format": {"choices": ("json", "art"), "default": "json"},
+    }
+    env_flags = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
+                 "--z")
 
-    def common(sp, algebra=True):
-        if algebra:
-            sp.add_argument("--algebra", choices=sorted(ALGEBRA_NAMES),
-                            required=True)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--q-half", dest="q_half", metavar="P/Q")
-        sp.add_argument("--alpha", metavar="P/Q")
-        sp.add_argument("--gamma", metavar="P/Q")
-        sp.add_argument("--gamma-root", dest="gamma_root", metavar="P/Q",
-                        help="omega; sets gamma = omega^n")
-        sp.add_argument("--z", metavar="P/Q")
-        sp.add_argument("--format", choices=("json", "art"), default="json")
+    def common(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("dims", help="closed-form vs enumerated dimensions")
-    common(sp)
+    common(sp, "--algebra")
     sp.add_argument("--n", type=int)
     sp.add_argument("--max-n", dest="max_n", type=int, default=10)
     sp.add_argument("--enumerate", action="store_true")
     sp.set_defaults(func=cmd_dims)
 
     sp = sub.add_parser("basis", help="dump the sandwich basis")
-    common(sp)
+    common(sp, "--algebra", "--format")
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(func=cmd_basis)
 
     sp = sub.add_parser("gamma", help="Gamma coefficient tables")
-    common(sp)
+    common(sp, "--algebra", *env_flags)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int)
     sp.add_argument("--method", choices=("solver", "conjecture", "both"),
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gamma)
 
     sp = sub.add_parser("projector", help="build and verify Q")
-    common(sp)
+    common(sp, "--algebra", *env_flags)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int)
     sp.add_argument("--method", choices=("solver", "conjecture"),
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_projector)
 
     sp = sub.add_parser("central", help="central element eigenvalue checks")
-    common(sp, algebra=False)
+    common(sp, "--seed", "--q-half", "--z")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int)
     sp.add_argument("--which", choices=("F", "Fbar", "G", "H", "OmegaN"),
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_central)
 
     sp = sub.add_parser("selfcheck", help="run the acceptance battery")
-    common(sp, algebra=False)
+    common(sp, "--seed")
     sp.add_argument("--max-n", dest="max_n", type=int, default=4)
     sp.set_defaults(func=cmd_selfcheck)
     return p

@@ -100,9 +100,10 @@ class LinkState:
         return self.n_crossing
 
     def sort_key(self):
+        # per node: -1 at a defect, 2 partner + crosses at an arc end
         n = self.n
-        return tuple((0, 0, 0) if x is None
-                     else (1, x % n, int(not 0 <= x < n)) for x in self.cover)
+        return tuple(-1 if x is None else 2 * (x % n) + (not 0 <= x < n)
+                     for x in self.cover)
 
     def __eq__(self, other):
         return isinstance(other, LinkState) and self.cover == other.cover
@@ -227,7 +228,8 @@ def link_states(n: int, d: int):
 
 
 class Diagram:
-    """An affine connectivity in sandwich normal form."""
+    """An affine connectivity in sandwich normal form: a value, not interned,
+    whose equality and hash read the faces' covers and the mid."""
 
     __slots__ = ("n", "bottom", "top", "mid", "even", "_hash")
 
@@ -245,7 +247,7 @@ class Diagram:
         self.top = top
         self.mid = mid
         self.even = (bottom.n_crossing + top.n_crossing + mid) % 2 == 0
-        self._hash = hash((bottom, top, mid))
+        self._hash = hash((bottom._hash, top._hash, mid))
 
     @property
     def d(self) -> int:
@@ -260,7 +262,8 @@ class Diagram:
 
     def __eq__(self, other):
         return (isinstance(other, Diagram) and self.mid == other.mid
-                and self.bottom == other.bottom and self.top == other.top)
+                and self.bottom.cover == other.bottom.cover
+                and self.top.cover == other.top.cover)
 
     def __hash__(self):
         return self._hash
@@ -333,17 +336,6 @@ def cup_state(n: int, k: int) -> LinkState:
 
 # -- tracing -----------------------------------------------------------------
 
-_diagram_pool: dict = {}
-
-
-def intern_diagram(bottom: LinkState, top: LinkState, mid: int) -> Diagram:
-    key = (bottom, top, mid)
-    d = _diagram_pool.get(key)
-    if d is None:
-        d = _diagram_pool[key] = Diagram(bottom, top, mid)
-    return d
-
-
 # Port ids: bottom node i -> i, top node i -> n + i.  A wire entry maps a
 # port to (target port id, cover position of the target when the source sits
 # in the principal copy).
@@ -389,7 +381,7 @@ def from_cover(bot, top, through, loops: int) -> Diagram:
     bottom, top_state = _state(tuple(bot)), _state(tuple(top))
     d = bottom.d
     if not d:
-        return intern_diagram(bottom, top_state, loops)
+        return Diagram(bottom, top_state, loops)
     index_of = {p: a for a, p in enumerate(top_state.defects)}
     mid = None
     for a, pb in enumerate(bottom.defects):
@@ -399,7 +391,7 @@ def from_cover(bot, top, through, loops: int) -> Diagram:
             mid = r
         elif mid != r:
             raise AssertionError("through-lines with unequal winding")
-    return intern_diagram(bottom, top_state, mid)
+    return Diagram(bottom, top_state, mid)
 
 
 def multiply_raw(c1: Diagram, c2: Diagram):

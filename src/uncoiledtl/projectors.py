@@ -47,23 +47,15 @@ from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
 
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
 
-@lru_cache(maxsize=8)  # a certificate or an e_0 Z grid uses one point
-def _blocks_at(variant: AlgebraVariant, env: ParamEnv) -> dict:
-    """The blocks built so far at one parameter point, by (builder, key);
-    only the last few points stay alive."""
-    return {}
-
-
 def _block(build):
-    """Memoize build(alg, *key) per (alg.variant, alg.env).  A block lives
-    on the algebra of its first caller; a build that raises stores nothing,
-    so its argument checks run on every miss."""
+    """Memoize build(alg, *key) on the algebra (``alg._blocks``), so a
+    block goes with its algebra; a build that raises stores nothing, so its
+    argument checks run on every miss."""
     @wraps(build)
     def cached(alg: Algebra, *key) -> AlgebraElement:
-        memo = _blocks_at(alg.variant, alg.env)
-        hit = memo.get((build, key))
+        hit = alg._blocks.get((build, key))
         if hit is None:
-            hit = memo[build, key] = build(alg, *key)
+            hit = alg._blocks[build, key] = build(alg, *key)
         return hit
     return cached
 
@@ -790,18 +782,17 @@ def projector_oracle(variant: AlgebraVariant, n: int, r=None,
     return AlgebraElement(alg, terms)
 
 
-def check_e0Z(variant: AlgebraVariant, n: int, k: int, l2: int,
-              env: ParamEnv) -> AlgebraElement:
+def check_e0Z(alg: Algebra, k: int, l2: int) -> AlgebraElement:
     """Residual of the e_0 Z_{k,l} expansion into X objects (expected zero):
-    e_0 Z_{k,l} minus the terms that ``_e0Z_layer`` lists for it."""
-    _check_size(variant, n)
+    e_0 Z_{k,l} minus the terms that ``_e0Z_layer`` lists for it, built on
+    alg, so the rows of one grid share its blocks."""
+    n, env = alg.n, alg.env
     num = qladder(2 * n + 2, env).num
-    rows = (_e0Z_layer(variant.kind, num, n, k, env.alpha)[1]
+    rows = (_e0Z_layer(alg.variant.kind, num, n, k, env.alpha)[1]
             if 0 <= 2 * k <= n else [])
     if not 0 <= l2 < len(rows):
         raise ValueError(f"the e_0 Z expansion has no row (k, l2)={(k, l2)} "
                          f"at n={n}")
-    alg = Algebra(variant, env)
     out = alg.e(0) * build_Z(alg, k, l2)
     for c, kk, ll2 in rows[l2]:
         if c:  # X_0 does not exist, and at k = 0, f1 = f2 = 0

@@ -190,6 +190,24 @@ def test_variant_mismatch():
         a * b
 
 
+def test_elements_of_two_parameter_points_refuse_to_mix():
+    v = AlgebraVariant("uaTL", 5)
+    a = Algebra(v, sample_env(1, "uaTL", 5))
+    b = Algebra(v, sample_env(2, "uaTL", 5))
+    for combine in (lambda x, y: x * y, lambda x, y: x + y,
+                    lambda x, y: x.equals(y)):
+        with pytest.raises(ValueError, match="parameter point mismatch"):
+            combine(a.e(1), b.e(1))
+        with pytest.raises(ValueError, match="parameter point mismatch"):
+            combine(a.one(), b.one())
+    # a second algebra at the same point mixes with the first
+    same = Algebra(v, sample_env(1, "uaTL", 5))
+    assert (a.e(1) * same.e(1)).equals(a.env.beta * a.e(1))
+    assert (a.one() + same.e(1)).equals(same.e(1) + a.one())
+    # an explicit re-wrap moves the terms onto another algebra
+    assert AlgebraElement(b, a.e(1).terms).equals(b.e(1))
+
+
 def test_max_terms_cap(monkeypatch):
     monkeypatch.setenv("UTL_MAX_TERMS", "2")
     env = sample_env(3, "aTL", 4)

@@ -271,6 +271,48 @@ def test_a_singular_oracle_system_is_a_failed_check(singular_oracle,
     assert json.loads(err)["error"] == "verification failed"
 
 
+# Each subcommand's base command line and the shared flags it reads; every
+# other shared flag is refused as invalid input.
+SUBCOMMAND_FLAGS = {
+    "dims": (["dims", "--algebra", "uatl", "--n", "5"], ()),
+    "basis": (["basis", "--algebra", "uatl", "--n", "3"], ("--format",)),
+    "gamma": (["gamma", "--algebra", "uatl", "--n", "3"],
+              ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
+               "--z")),
+    "projector": (["projector", "--algebra", "uatl", "--n", "3"],
+                  ("--seed", "--q-half", "--alpha", "--gamma",
+                   "--gamma-root", "--z")),
+    "central": (["central", "--n", "3", "--which", "F"],
+                ("--seed", "--q-half", "--z")),
+    "selfcheck": (["selfcheck", "--max-n", "2"], ("--seed",)),
+}
+SHARED_FLAG_VALUES = {"--seed": "1", "--q-half": "2", "--alpha": "3",
+                      "--gamma": "5", "--gamma-root": "2", "--z": "3",
+                      "--format": "json"}
+DROPPED_FLAGS = [(command, flag)
+                 for command, (_, kept) in SUBCOMMAND_FLAGS.items()
+                 for flag in SHARED_FLAG_VALUES if flag not in kept]
+
+
+def test_each_subcommand_keeps_the_shared_flags_it_reads():
+    assert len(DROPPED_FLAGS) == 25
+    # the flags a subcommand reads still parse (--gamma 5 is no omega^n of
+    # uaTL, a non-generic point: exit 2)
+    for base, kept in SUBCOMMAND_FLAGS.values():
+        assert _run_quiet(base)[0] == 0
+        for flag in kept:
+            assert _run_quiet(base + [flag, SHARED_FLAG_VALUES[flag]])[0] \
+                in (0, 2)
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_a_flag_its_subcommand_does_not_read_is_invalid_input(command, flag):
+    base, _ = SUBCOMMAND_FLAGS[command]
+    code, out, err = _run_quiet(base + [flag, SHARED_FLAG_VALUES[flag]])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "invalid input"
+
+
 def test_zero_denominator_is_invalid_input():
     assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
                         "--z", "1/0"]) == 3
@@ -379,6 +421,8 @@ def test_rational_flags_keep_the_exit_code_contract(command, flags, k, seed,
     if command == "central":
         argv = ["central", "--n", "3", "--which",
                 data.draw(hst.sampled_from(("F", "H"))), "--k", k]
+        # central reads only --q-half and --z of these (the rest exit 3)
+        flags = {f: v for f, v in flags.items() if f in ("--q-half", "--z")}
     else:
         kind, n = data.draw(hst.sampled_from(
             (("uatl", 3), ("uptl", 3), ("uatl1", 2), ("uptl1", 2),

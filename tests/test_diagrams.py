@@ -123,6 +123,26 @@ def test_descriptors_rebuild_every_enumerated_state():
                 assert LinkState.from_json(v.to_json()) == v
 
 
+def _descriptor_sort_key(v):
+    """The order of link states as first stated: per node, (0, 0, 0) at a
+    defect and (1, partner, crosses) at an arc end."""
+    return tuple((0, 0, 0) if x is DEFECT else (1, x[0], int(x[1]))
+                 for x in v.nodes)
+
+
+def test_sort_key_orders_states_as_the_descriptor_key():
+    rng = random.Random(0)
+    count = 0
+    for n in range(1, 11):
+        for d in range(n % 2, n + 1, 2):
+            states = list(link_states(n, d))
+            rng.shuffle(states)
+            assert (sorted(states, key=LinkState.sort_key)
+                    == sorted(states, key=_descriptor_sort_key))
+            count += len(states)
+    assert count == 1198
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_traced_faces_equal_descriptor_built_states(kind):
     """The faces from_cover (multiply_raw) and outer_face (mul) write as

@@ -26,7 +26,7 @@ from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
 from uncoiledtl.scalars import (AFFINE_KINDS, FLOAT_RTOL, STARRED_KINDS,
                                 UNCOILED_KINDS, gamma_hat, qbinom, qfact,
                                 qladder, qnum, sample_env)
-from uncoiledtl.selfcheck import legal_sizes, sector_of
+from uncoiledtl.selfcheck import check_e0Z_grids, legal_sizes, sector_of
 
 from test_acceptance import _float_env_on_circle
 
@@ -668,8 +668,6 @@ def test_gamma_tables_refuse_another_size_than_the_variant():
             gamma_table_conjecture(v, n, 0, env)
         with pytest.raises(ValueError, match="n does not match the variant"):
             gamma_conjecture(v, n, 1, 0, 0, env)
-        with pytest.raises(ValueError, match="n does not match the variant"):
-            check_e0Z(v, n, 1, 0, env)
 
 
 def _gamma_grid_reference(variant):
@@ -906,33 +904,49 @@ def test_e0Z_k0_row_with_Y():
 
 def test_e0Z_starred_extra_n4():
     # e_0 Z_{n/2,0} = (alpha^2 [n/2]^2 - [n]^2)/([n][n-1]) X_{n/2,0}, n = 4
-    env = sample_env(3, "upTL1", 4)
-    v = AlgebraVariant("upTL1", 4)
-    assert check_e0Z(v, 4, 2, 0, env).is_zero()
-    assert check_e0Z(v, 4, 1, 0, env).is_zero()
+    alg = Algebra(AlgebraVariant("upTL1", 4), sample_env(3, "upTL1", 4))
+    assert check_e0Z(alg, 2, 0).is_zero()
+    assert check_e0Z(alg, 1, 0).is_zero()
 
 
 def test_e0Z_generic_rows_n5():
     for kind in ("uaTL", "upTL"):
-        env = sample_env(3, kind, 5)
-        v = AlgebraVariant(kind, 5)
+        alg = Algebra(AlgebraVariant(kind, 5), sample_env(3, kind, 5))
         step = 1 if kind == "uaTL" else 2
         for k in (1, 2):
             for l2 in range(0, 5 - 2 * k, step):
-                assert check_e0Z(v, 5, k, l2, env).is_zero()
+                assert check_e0Z(alg, k, l2).is_zero()
 
 
 def test_e0Z_rows_outside_a_layer_are_refused():
-    env = sample_env(3, "uaTL", 5)
-    v = AlgebraVariant("uaTL", 5)
+    alg = Algebra(AlgebraVariant("uaTL", 5), sample_env(3, "uaTL", 5))
     for k, l2 in ((1, 3), (1, -1), (2, 1), (3, 0), (-1, 0)):
         with pytest.raises(ValueError, match="no row"):
-            check_e0Z(v, 5, k, l2, env)
-    env = sample_env(3, "upTL1", 4)
-    v = AlgebraVariant("upTL1", 4)
+            check_e0Z(alg, k, l2)
+    alg = Algebra(AlgebraVariant("upTL1", 4), sample_env(3, "upTL1", 4))
     for k, l2 in ((1, 2), (2, 1)):  # the starred rows (n-2)/2 and n/2
         with pytest.raises(ValueError, match="no row"):
-            check_e0Z(v, 4, k, l2, env)
+            check_e0Z(alg, k, l2)
+
+
+def test_a_second_e0Z_grid_sweep_makes_as_many_products_as_the_first(
+        monkeypatch):
+    # each grid's blocks live on its own algebra, so none outlives its
+    # sweep and a second sweep does the same work as the first
+    real = uncoiledtl.algebra.mul
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(uncoiledtl.algebra, "mul", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert check_e0Z_grids(5, 0)[1]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # -- projectors -----------------------------------------------------------
@@ -1045,32 +1059,47 @@ def test_certificate_bundle():
     assert cert["gamma_table"]["entries"]
 
 
-def test_certificates_leave_live_memory_bounded():
-    # the projector blocks of only the last few parameter points stay
-    # cached, so a long-lived process does not grow with every seed
-    variant = AlgebraVariant("upTL", 3)
+def _live_memory_growth_over_certificates(kind, n):
+    """Live bytes gained by 40 more certificates after 30 warm ones."""
+    variant = AlgebraVariant(kind, n)
 
     def certify(seeds):
         for seed in seeds:
-            env = sample_env(seed, "upTL", 3)
-            assert projector_certificate(variant, 3, None, env)["verified"]
+            env = sample_env(seed, kind, n)
+            r = sector_of(kind, env, n)
+            assert projector_certificate(variant, n, r, env)["verified"]
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
 
     tracemalloc.start()
     try:
         warm = certify(range(1, 31))
-        grown = certify(range(31, 71)) - warm
+        return certify(range(31, 71)) - warm
     finally:
         tracemalloc.stop()
-    assert grown < 48 * 1024
 
 
-def test_blocks_are_shared_per_point_and_checked_on_every_call():
+def test_certificates_leave_live_memory_bounded():
+    # the projector blocks and the reduce memo live on the certificate's
+    # algebra and go with it, and diagrams are not pooled, so a long-lived
+    # process does not grow with every seed
+    assert _live_memory_growth_over_certificates("upTL", 3) < 48 * 1024
+
+
+def test_uatl2_certificates_leave_live_memory_bounded():
+    # an even affine kind, its sector r drawn with each seed
+    assert _live_memory_growth_over_certificates("uaTL2", 4) < 48 * 1024
+
+
+def test_blocks_live_on_their_algebra_and_are_checked_on_every_call():
     env = sample_env(5, "uaTL", 5)
     a, b = (Algebra(AlgebraVariant("uaTL", 5), env) for _ in range(2))
-    assert build_Z(a, 1, 2) is build_Z(b, 1, 2)
-    assert wenzl_jones_P(4, a, 1) is wenzl_jones_P(4, b, 1)
+    assert build_Z(a, 1, 2) is build_Z(a, 1, 2)
+    assert wenzl_jones_P(4, a, 1) is wenzl_jones_P(4, a, 1)
+    assert build_Z(b, 1, 2) is not build_Z(a, 1, 2)
+    assert build_Z(b, 1, 2).algebra is b
+    assert build_Z(b, 1, 2).equals(build_Z(a, 1, 2))
+    assert wenzl_jones_P(4, b, 1) is not wenzl_jones_P(4, a, 1)
     assert wenzl_jones_P(0, a).equals(a.one())
     for _ in range(2):
         with pytest.raises(ValueError, match="X_0 undefined"):

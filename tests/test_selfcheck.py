@@ -58,8 +58,8 @@ CASES = {
         "Q^2 != Q, upTL1 n=2"),
     "e0Z-expansion": (
         selfcheck.check_e0Z_grids, (4, 0), "check_e0Z",
-        _plus(lambda v, n, k, l2, env:
-              ((v.kind, k, l2) == ("uaTL2", 1, 1)) * Algebra(v, env).one()),
+        _plus(lambda alg, k, l2:
+              ((alg.variant.kind, k, l2) == ("uaTL2", 1, 1)) * alg.one()),
         "uaTL2 n=4 (k, l2)=(1, 1)"),
     "central-elements": (
         selfcheck.check_central, (3, 3, 6, 0), "central_eigenvalue",
