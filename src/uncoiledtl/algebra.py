@@ -29,7 +29,7 @@ DEFAULT_MAX_TERMS = 5_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """An element, or the matrix of a module action, grew past
+    """An element, a basis, or the matrix of a module action, grew past
     UTL_MAX_TERMS."""
 
 
@@ -38,8 +38,8 @@ class InfiniteAlgebraError(ValueError):
 
 
 def max_terms() -> int:
-    """The cap on the terms of an element and the entries of a module
-    matrix."""
+    """The cap on the terms of an element, the diagrams of a basis and the
+    entries of a module matrix."""
     return int(os.environ.get("UTL_MAX_TERMS", DEFAULT_MAX_TERMS))
 
 
@@ -337,19 +337,10 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     get = acc.get
     for top, left in by_top.items():
         for bottom, right in by_bottom.items():
-            beta_exp, nc, lower_pairs, upper_pairs, links = \
-                trace_interface(top, bottom)
-            d_new = len(links)
-            if d_new:
-                anchor_l, anchor_r = links[0]
-                live_l = frozenset(x for x, _ in links)
-                live_r = frozenset(y % bottom.d for _, y in links)
-            else:
-                anchor_l = anchor_r = live_l = live_r = None
+            beta_exp, nc, lower, upper, d_new = trace_interface(top, bottom)
             codes_r = []
             for dia, c in right:
-                face, r = outer_face(dia.top, -dia.mid, upper_pairs,
-                                     live_r, anchor_r, d_new)
+                face, r = outer_face(dia.top, -dia.mid, upper, d_new)
                 if r is None:
                     r = (dia.mid if not dia.d else 0) + nc
                 if abs(r) > bound_r:
@@ -358,8 +349,7 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                                 c))
             row = beta_exp * nb
             for dia, c1 in left:
-                face, li = outer_face(dia.bottom, dia.mid, lower_pairs,
-                                      live_l, anchor_l, d_new)
+                face, li = outer_face(dia.bottom, dia.mid, lower, d_new)
                 if li is None:
                     li = -dia.mid if not dia.d else 0
                 if abs(li) > bound_l:
@@ -447,7 +437,13 @@ def _sandwich_triples(variant: AlgebraVariant):
 
 def basis_enumerate(variant: AlgebraVariant):
     """The sandwich basis S_d(...) of an uncoiled variant (or of TL),
-    ordered by d descending, then bottom, top, mid (Diagram.sort_key)."""
+    ordered by d descending, then bottom, top, mid (Diagram.sort_key).
+    Raises ResourceLimitError before building a diagram once the basis
+    would pass UTL_MAX_TERMS."""
+    dim, cap = basis_dimension(variant), max_terms()
+    if dim > cap:
+        raise ResourceLimitError(
+            f"a basis of {dim} diagrams exceeds UTL_MAX_TERMS={cap}")
     return tuple(Diagram(b, t, m)
                  for b, t, mids in _sandwich_triples(variant)
                  for m in mids)
@@ -518,19 +514,14 @@ def psi_bilinear(v: LinkState, w: LinkState, variant: AlgebraVariant,
     if v.d != w.d:
         raise ValueError("defect-count mismatch")
     d = v.d
-    beta_exp, nc, v_pairs, _, links = trace_interface(v, w)
+    beta_exp, nc, (v_pairs, _, a), (_, _, j), _ = trace_interface(v, w)
     if v_pairs:
         return MiddleValue(0, 0, d)  # two v-defects joined
     coeff = env.beta ** beta_exp if beta_exp else env.one
-    if d == 0:
-        mid = nc
-    else:
-        # winding: the diagram iota(w) v has w below and v on top, so a
-        # defect descending from v-index a lands on w-index a - r; a
-        # leftward descent counts +1, matching the Omega convention of the
-        # diagram mid.
-        a, j = links[0]
-        mid = a - j
+    # winding: the diagram iota(w) v has w below and v on top, so a defect
+    # descending from v-index a lands on w-index a - r; a leftward descent
+    # counts +1, matching the Omega convention of the diagram mid.
+    mid = a - j if d else nc
     factor, m = _reduce_mid(variant.kind, variant.n, env, d, mid)
     if m is None:
         return MiddleValue(0, 0, d)

@@ -506,13 +506,16 @@ def trace_interface(lower: LinkState, upper: LinkState):
 
     Defects are named by cover index: the defect at cover position x has
     index (its rank among the state's defects at x % n) + d * (x // n).
-    Returns (beta_exp, nc, lower_pairs, upper_pairs, links):
+    Returns (beta_exp, nc, lower, upper, d_new):
 
     * beta_exp, nc: contractible and non-contractible closed loops;
-    * lower_pairs: (a, b) for lower defects a (0 <= a < d_lower) and b
-      joined through upper arcs; upper_pairs likewise for upper defects;
-    * links: (a, j) for each lower defect a, 0 <= a < d_lower, passing
-      through to upper defect j, in increasing a.
+    * lower, upper: each side's record (pairs, live, anchor).  pairs are
+      (a, b) for the side's defects a (0 <= a < d) and b joined through the
+      other side's arcs; live is the bitmask of the defects in [0, d) that
+      pass through; anchor is the cover index of the first lower defect
+      that does (on the upper side: of the upper defect it reaches), None
+      when none does;
+    * d_new: the number of through-lines.
     """
     n = lower.n
     lc, uc = lower.cover, upper.cover
@@ -574,21 +577,24 @@ def trace_interface(lower: LinkState, upper: LinkState):
             nc += 1
         else:
             raise AssertionError("loop with |winding| > 1")
-    return (beta_exp, nc, tuple(lower_pairs), tuple(upper_pairs),
-            tuple(links))
+    a0, j0 = links[0] if links else (None, None)
+    lower_side = tuple(lower_pairs), sum(1 << a for a, _ in links), a0
+    upper_side = tuple(upper_pairs), sum(1 << j % du for _, j in links), j0
+    return beta_exp, nc, lower_side, upper_side, len(links)
 
 
-def outer_face(state: LinkState, shift: int, pairs, live, anchor: int,
-               d_new: int):
+def outer_face(state: LinkState, shift: int, side, d_new: int):
     """One factor's outer face after the interface of a product.
 
     ``state`` is the factor's outer face; its defect k meets the interface
     as inner defect k + shift (c1 = (bottom, m, top): shift m; c2: shift
-    -m).  ``pairs`` are the inner defects joined in the interface, ``live``
-    the inner defects in [0, d) that pass through, ``anchor`` one inner
-    cover index that does.  Returns (new state, the new cover index of the
-    defect reaching ``anchor``), the index None when no defect survives.
+    -m).  ``side`` is the inner side's record from ``trace_interface``:
+    the inner defects joined in the interface, the bitmask of those in
+    [0, d) that pass through, and the anchor, one inner cover index that
+    does.  Returns (new state, the new cover index of the defect reaching
+    the anchor), the index None when no defect survives.
     """
+    pairs, live, anchor = side
     n, defects = state.n, state.defects
     d = len(defects)
     if pairs:
@@ -602,8 +608,8 @@ def outer_face(state: LinkState, shift: int, pairs, live, anchor: int,
     if not d_new:
         return state, None
     q, r = divmod(anchor - shift, d)
-    return state, q * d_new + sum(1 for k in range(r)
-                                  if (k + shift) % d in live)
+    return state, q * d_new + sum(live >> (k + shift) % d & 1
+                                  for k in range(r))
 
 
 def act_on_state(c: Diagram, w: LinkState):
@@ -617,11 +623,8 @@ def act_on_state(c: Diagram, w: LinkState):
     """
     if c.n != w.n:
         raise ValueError("size mismatch")
-    beta_exp, nc, lower_pairs, upper_pairs, links = trace_interface(c.top, w)
-    if upper_pairs:
+    beta_exp, nc, lower, (joined, _, j), d_new = trace_interface(c.top, w)
+    if joined:
         return None
-    d_new = len(links)
-    anchor, j0 = links[0] if d_new else (None, 0)
-    live = frozenset(x for x, _ in links)
-    state, li = outer_face(c.bottom, c.mid, lower_pairs, live, anchor, d_new)
-    return beta_exp, nc, j0 - li if d_new else 0, state
+    state, li = outer_face(c.bottom, c.mid, lower, d_new)
+    return beta_exp, nc, j - li if d_new else 0, state

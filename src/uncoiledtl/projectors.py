@@ -282,10 +282,13 @@ def sector_of(kind: str, env, n: int):
 
 
 def check_sector(variant: AlgebraVariant, r, env: ParamEnv) -> None:
-    """Reject an affine sector label outside 0..n-1, and for uaTL1 over
-    exact rationals one that ``sector_of`` does not realize."""
-    if r is None or variant.kind not in AFFINE_KINDS:
+    """Reject a sector label for a kind without sectors, an affine one
+    outside 0..n-1, and for uaTL1 over exact rationals one that
+    ``sector_of`` does not realize."""
+    if r is None:
         return
+    if variant.kind not in AFFINE_KINDS:
+        raise ValueError(f"{variant.kind} has no sector label r")
     if not 0 <= r < variant.n:
         raise ValueError(f"sector r={r} outside 0..{variant.n - 1}")
     if variant.kind != "uaTL1" or env.backend != EXACT:

@@ -13,7 +13,7 @@ from functools import cached_property
 from . import diagrams
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
                       ResourceLimitError, max_terms)
-from .diagrams import Diagram, LinkState, act_on_state, link_states
+from .diagrams import act_on_state, link_states
 from .scalars import (NonGenericParameterError, ParamEnv,
                       over_common_denominator, ratio)
 
@@ -45,53 +45,14 @@ class StandardModule:
     def alpha(self):
         return self.z + 1 / self.z
 
-    @cached_property
-    def weights(self) -> dict:
-        """The action's weights beta^b alpha^nc z^e, memoized by (b, nc, e)."""
-        return {}
-
     def weight(self, key):
         """beta^b alpha^nc z^e for the key (b, nc, e)."""
-        coeff = self.weights.get(key)
-        if coeff is None:
-            beta_exp, nc, z_exp = key
-            env = self.env
-            coeff = env.one
-            if beta_exp:
-                coeff = coeff * env.beta ** beta_exp
-            if nc:
-                coeff = coeff * self.alpha ** nc
-            if z_exp:
-                coeff = coeff * self.z ** z_exp
-            self.weights[key] = coeff
-        return coeff
+        beta_exp, nc, z_exp = key
+        return self.env.beta ** beta_exp * self.alpha ** nc * self.z ** z_exp
 
     def to_json(self):
         from .scalars import scalar_to_json
         return {"n": self.n, "d": self.d, "z": scalar_to_json(self.z)}
-
-
-def action_key(c: Diagram, w: LinkState, module: StandardModule):
-    """c . w as (weight key, state), the weight being module.weight(key);
-    None when two defects join."""
-    res = act_on_state(c, w)
-    if res is None:
-        return None
-    beta_exp, nc, z_exp, state = res
-    if c.d == 0:
-        nc += c.mid  # loops already stored on the diagram weigh alpha too
-    if nc and module.d > 0:
-        raise AssertionError("non-contractible loop in a d > 0 action")
-    return (beta_exp, nc, z_exp), state
-
-
-def act_diagram(c: Diagram, w: LinkState, module: StandardModule):
-    """c . w with the twist bookkeeping; None when two defects join."""
-    res = action_key(c, w, module)
-    if res is None:
-        return None
-    key, state = res
-    return module.weight(key), state
 
 
 def _action_numerators(a, module: StandardModule):
@@ -114,17 +75,23 @@ def _action_numerators(a, module: StandardModule):
     index = {s: i for i, s in enumerate(basis)}
     terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
     coeffs, den = over_common_denominator(terms.values())
-    parts = {}  # weight key -> {cell: int sum}
+    parts = {}  # weight key (b, nc, e) -> {cell: int sum}
     for dia, c in zip(terms, coeffs):
+        stored = 0 if dia.d else dia.mid  # loops on the diagram weigh alpha
         for j, state in enumerate(basis):
-            res = action_key(dia, state, module)
-            if res is not None:
-                key, image = res
-                part = parts.get(key)
-                if part is None:
-                    part = parts[key] = {}
-                cell = index[image] * dim + j
-                part[cell] = part.get(cell, 0) + c
+            res = act_on_state(dia, state)
+            if res is None:
+                continue
+            beta_exp, nc, z_exp, image = res
+            nc += stored
+            if nc and module.d:
+                raise AssertionError("non-contractible loop in a d > 0 action")
+            key = beta_exp, nc, z_exp
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = {}
+            cell = index[image] * dim + j
+            part[cell] = part.get(cell, 0) + c
     factors, common = over_common_denominator(map(module.weight, parts))
     sums = {}
     for f, part in zip(factors, parts.values()):

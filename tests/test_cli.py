@@ -64,6 +64,24 @@ def test_basis_art(capsys):
     assert "|" in out or "<" in out
 
 
+def test_basis_under_and_past_the_term_cap(capsys, monkeypatch):
+    # uaTL n = 5 has 180 basis diagrams
+    argv = ["basis", "--algebra", "uatl", "--n", "5"]
+    monkeypatch.setenv("UTL_MAX_TERMS", "179")
+    assert capture(capsys, argv) == (3, "")
+    monkeypatch.setenv("UTL_MAX_TERMS", "180")
+    code, out = capture(capsys, argv)
+    assert code == 0 and json.loads(out)["dimension"] == 180
+
+
+def test_basis_past_the_default_cap_is_refused_before_building(capsys):
+    # uaTL n = 13 has 11,099,088 basis diagrams
+    start = time.perf_counter()
+    assert capture(capsys, ["basis", "--algebra", "uatl", "--n", "13"]) == (
+        3, "")
+    assert time.perf_counter() - start < 5
+
+
 def test_gamma_both_methods(capsys):
     code, out = capture(capsys, ["gamma", "--algebra", "uatl", "--n", "9",
                                  "--r", "2", "--seed", "3",
@@ -337,6 +355,17 @@ def test_affine_sector_out_of_range_is_invalid():
                         "--r", "5"]) == 3
     assert _error_code(["gamma", "--algebra", "uatl2", "--n", "4",
                         "--r", "-1"]) == 3
+
+
+@pytest.mark.parametrize("algebra, n", [("uptl", "3"), ("uptl1", "4"),
+                                        ("uptl2", "4")])
+def test_periodic_sector_label_is_invalid(algebra, n):
+    # the periodic kinds admit no sector, not even r = 0
+    for r in ("0", "7"):
+        assert _error_code(["gamma", "--algebra", algebra, "--n", n,
+                            "--r", r]) == 3
+        assert _error_code(["projector", "--algebra", algebra, "--n", n,
+                            "--verify", "--r", r]) == 3
 
 
 def test_huge_decimal_exponent_is_invalid_input():
