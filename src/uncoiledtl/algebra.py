@@ -295,9 +295,13 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     Equal to the sum of c1 * c2 * beta**k * s over the pairs of terms, with
     (s, dia) = reduce(multiply_raw(d1, d2)), but computed by interface
     blocks: the topology of d1 * d2 is fixed by (d1.top, d2.bottom), so each
-    interface is traced once, each term's outer face once per interface,
-    and a pair of terms only adds c1 * c2 under an int key packing (beta
-    exponent, new bottom, new top, mid).
+    interface is traced once.  A term's part of the int key packing (beta
+    exponent, new bottom, new top, mid) is its code, which depends on the
+    block only through one side record of ``trace_interface``.  So each
+    group of terms (the right ones of a bottom, the left ones of a top) is
+    coded once per distinct record, the coefficients of the terms that
+    share a code are summed, zero sums dropped, and a pair of codes only
+    adds the product of their sums under their key.
 
     Both factors are first put over their common denominators (sa and sb),
     so a pair of terms costs one int multiply and add, not a Fraction
@@ -335,33 +339,51 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     bottoms, tops = {}, {}
     acc = {}
     get = acc.get
+    # codes by side record: (bottom, upper, d_new, nc) on the right and
+    # (lower, d_new) within one top group on the left; beta_exp is a shift
+    right_codes, left_codes = {}, {}
+    shift = nb * nt * width
     for top, left in by_top.items():
+        left_codes.clear()
         for bottom, right in by_bottom.items():
             beta_exp, nc, lower, upper, d_new = trace_interface(top, bottom)
-            codes_r = []
-            for dia, c in right:
-                face, r = outer_face(dia.top, -dia.mid, upper, d_new)
-                if r is None:
-                    r = (dia.mid if not dia.d else 0) + nc
-                if abs(r) > bound_r:
-                    raise AssertionError("interface wider than its bound")
-                codes_r.append((tops.setdefault(face, len(tops)) * width + r,
-                                c))
-            row = beta_exp * nb
-            for dia, c1 in left:
-                face, li = outer_face(dia.bottom, dia.mid, lower, d_new)
-                if li is None:
-                    li = -dia.mid if not dia.d else 0
-                if abs(li) > bound_l:
-                    raise AssertionError("interface wider than its bound")
-                code_l = ((row + bottoms.setdefault(face, len(bottoms)))
-                          * nt * width + off - li)
+            codes_r = right_codes.get((bottom, upper, d_new, nc))
+            if codes_r is None:
+                by_code = {}
+                for dia, c in right:
+                    face, r = outer_face(dia.top, -dia.mid, upper, d_new)
+                    if r is None:
+                        r = (dia.mid if not dia.d else 0) + nc
+                    if abs(r) > bound_r:
+                        raise AssertionError("interface wider than its bound")
+                    code = tops.setdefault(face, len(tops)) * width + r
+                    by_code[code] = by_code.get(code, 0) + c
+                codes_r = right_codes[bottom, upper, d_new, nc] = [
+                    kv for kv in by_code.items() if kv[1]]
+            codes_l = left_codes.get((lower, d_new))
+            if codes_l is None:
+                by_code = {}
+                for dia, c in left:
+                    face, li = outer_face(dia.bottom, dia.mid, lower, d_new)
+                    if li is None:
+                        li = -dia.mid if not dia.d else 0
+                    if abs(li) > bound_l:
+                        raise AssertionError("interface wider than its bound")
+                    code = (bottoms.setdefault(face, len(bottoms)) * nt
+                            * width + off - li)
+                    by_code[code] = by_code.get(code, 0) + c
+                codes_l = left_codes[lower, d_new] = [
+                    kv for kv in by_code.items() if kv[1]]
+            row = beta_exp * shift
+            for code_l, c1 in codes_l:
+                code_l += row
                 for code_r, c2 in codes_r:
                     k = code_l + code_r
                     acc[k] = get(k, 0) + c1 * c2
             if len(acc) > cap:
                 raise ResourceLimitError(
                     f"element exceeded UTL_MAX_TERMS={cap}")
+    del right_codes, left_codes
 
     bottoms, tops = list(bottoms), list(tops)
     rmemo, sids = alg._reduce_memo, alg._scalar_ids

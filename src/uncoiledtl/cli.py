@@ -227,87 +227,94 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the flags several subcommands share, each given only to those that read it
+_SHARED = {
+    "--algebra": {"choices": sorted(ALGEBRA_NAMES), "required": True},
+    "--seed": {"type": int, "default": 0},
+    "--q-half": {"dest": "q_half", "metavar": "P/Q"},
+    "--alpha": {"metavar": "P/Q"},
+    "--gamma": {"metavar": "P/Q"},
+    "--gamma-root": {"dest": "gamma_root", "metavar": "P/Q",
+                     "help": "omega; sets gamma = omega^n"},
+    "--z": {"metavar": "P/Q"},
+    "--format": {"choices": ("json", "art"), "default": "json"},
+}
+_ENV_FLAGS = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
+              "--z")
+
+# name -> (help, handler, shared flags, own flags with their options)
+_COMMANDS = {
+    "dims": (
+        "closed-form vs enumerated dimensions", cmd_dims, ("--algebra",),
+        (("--n", {"type": int}),
+         ("--max-n", {"dest": "max_n", "type": int, "default": 10}),
+         ("--enumerate", {"action": "store_true"}))),
+    "basis": (
+        "dump the sandwich basis", cmd_basis, ("--algebra", "--format"),
+        (("--n", {"type": int, "required": True}),)),
+    "gamma": (
+        "Gamma coefficient tables", cmd_gamma, ("--algebra",) + _ENV_FLAGS,
+        (("--n", {"type": int, "required": True}),
+         ("--r", {"type": int}),
+         ("--method", {"choices": ("solver", "conjecture", "both"),
+                       "default": "both"}))),
+    "projector": (
+        "build and verify Q", cmd_projector, ("--algebra",) + _ENV_FLAGS,
+        (("--n", {"type": int, "required": True}),
+         ("--r", {"type": int}),
+         ("--method", {"choices": ("solver", "conjecture"),
+                       "default": "solver"}),
+         ("--verify", {"action": "store_true"}),
+         ("--oracle", {"action": "store_true"}))),
+    "central": (
+        "central element eigenvalue checks", cmd_central,
+        ("--seed", "--q-half", "--z"),
+        (("--n", {"type": int, "required": True}),
+         ("--d", {"type": int}),
+         ("--which", {"choices": ("F", "Fbar", "G", "H", "OmegaN"),
+                      "required": True}),
+         ("--k", {"help": "Chebyshev index for H (rational)"}))),
+    "selfcheck": (
+        "run the acceptance battery", cmd_selfcheck, ("--seed",),
+        (("--max-n", {"dest": "max_n", "type": int, "default": 4}),)),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The utl parser; given a command's name, it holds that subcommand
+    alone, which parses and reports that command's argv as the whole
+    parser does."""
     p = _Parser(
         prog="utl",
         description="uncoiled Temperley-Lieb algebras: enumeration, "
                     "projectors, verification")
     sub = p.add_subparsers(dest="command", required=True)
-    # the flags several subcommands share, each given only to those that
-    # read it
-    shared = {
-        "--algebra": {"choices": sorted(ALGEBRA_NAMES), "required": True},
-        "--seed": {"type": int, "default": 0},
-        "--q-half": {"dest": "q_half", "metavar": "P/Q"},
-        "--alpha": {"metavar": "P/Q"},
-        "--gamma": {"metavar": "P/Q"},
-        "--gamma-root": {"dest": "gamma_root", "metavar": "P/Q",
-                         "help": "omega; sets gamma = omega^n"},
-        "--z": {"metavar": "P/Q"},
-        "--format": {"choices": ("json", "art"), "default": "json"},
-    }
-    env_flags = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
-                 "--z")
-
-    def common(sp, *flags):
-        for flag in flags:
-            sp.add_argument(flag, **shared[flag])
-
-    sp = sub.add_parser("dims", help="closed-form vs enumerated dimensions")
-    common(sp, "--algebra")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--max-n", dest="max_n", type=int, default=10)
-    sp.add_argument("--enumerate", action="store_true")
-    sp.set_defaults(func=cmd_dims)
-
-    sp = sub.add_parser("basis", help="dump the sandwich basis")
-    common(sp, "--algebra", "--format")
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=cmd_basis)
-
-    sp = sub.add_parser("gamma", help="Gamma coefficient tables")
-    common(sp, "--algebra", *env_flags)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--method", choices=("solver", "conjecture", "both"),
-                    default="both")
-    sp.set_defaults(func=cmd_gamma)
-
-    sp = sub.add_parser("projector", help="build and verify Q")
-    common(sp, "--algebra", *env_flags)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--method", choices=("solver", "conjecture"),
-                    default="solver")
-    sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--oracle", action="store_true")
-    sp.set_defaults(func=cmd_projector)
-
-    sp = sub.add_parser("central", help="central element eigenvalue checks")
-    common(sp, "--seed", "--q-half", "--z")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--which", choices=("F", "Fbar", "G", "H", "OmegaN"),
-                    required=True)
-    sp.add_argument("--k", help="Chebyshev index for H (rational)")
-    sp.set_defaults(func=cmd_central)
-
-    sp = sub.add_parser("selfcheck", help="run the acceptance battery")
-    common(sp, "--seed")
-    sp.add_argument("--max-n", dest="max_n", type=int, default=4)
-    sp.set_defaults(func=cmd_selfcheck)
+    for name, (help_, func, shared, own) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        sp = sub.add_parser(name, help=help_)
+        for flag in shared:
+            sp.add_argument(flag, **_SHARED[flag])
+        for flag, options in own:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=func)
     return p
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on its first use."""
-    return build_parser()
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The parser of this process for a command (every command for None),
+    built on its first use."""
+    return build_parser(command)
 
 
 def run(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command's own parser is a sixth of the whole one to build
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(command).parse_args(argv)
         code = args.func(args)
         if code == EXIT_VERIFY:
             print(json.dumps({"error": "verification failed",

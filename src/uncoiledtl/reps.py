@@ -231,41 +231,62 @@ def central_eigenvalue(which: str, module: StandardModule, k=None):
     raise ValueError(f"unknown central element {which!r}")
 
 
+def _int_matrix(a, module: StandardModule):
+    """matrix_of(a, module) as (A, D) with A an int matrix and D an int,
+    A / D, both divided by their gcd.  The entries must be rational (the
+    exact backend)."""
+    sums, den = _action_numerators(a, module)
+    g = math.gcd(den, *sums.values())
+    dim = len(module.basis)
+    rows = [[0] * dim for _ in range(dim)]
+    for cell, val in sums.items():
+        i, j = divmod(cell, dim)
+        rows[i][j] = val // g
+    return rows, den // g
+
+
+def _matmul(x, y):
+    cols = list(zip(*y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
+
+
 def central_matrix(n: int, which: str, module: StandardModule, k=None):
     """The matrix of a central element on a standard module.
 
-    For H(k) the Chebyshev recurrence runs on matrix_of(F) rather than on
+    G and H(k) are computed from the matrices of F and Fbar rather than from
     the element: the action map is linear and multiplicative (the
     representation property, itself part of the verification suite), so
-    this equals the matrix of the element-level recurrence while staying
-    tractable at 2nk = 24.  The recurrence runs on integers: with
-    matrix_of(F) = A / D for the int matrix A of ``_action_numerators`` and
-    D least (both divided by their gcd, as D is raised to the power m),
-    B_j = D^j U_j(F) obeys B_j = A B_{j-1} - D^2 B_{j-2} from B_0 = 2I and
-    B_1 = A, and 2 T_m(F/2) = B_m / D^m is divided out once at the end.
-    The entries of matrix_of(F) must be rational (the exact backend).
+    this equals the matrix of the element while staying tractable at
+    n = 8 and 2nk = 24.  Both run on integers, with matrix_of(F) = A / D
+    and matrix_of(Fbar) = B / E (``_int_matrix``).  G = F^2 + Fbar^2 -
+    (q^n + q^-n) F Fbar is (E^2 A^2 + D^2 B^2 - c D E A B) / (D E)^2.  For
+    H, B_j = D^j U_j(F) obeys B_j = A B_{j-1} - D^2 B_{j-2} from B_0 = 2I
+    and B_1 = A, and 2 T_m(F/2) = B_m / D^m is divided out once at the end.
+    The entries of these matrices must be rational (the exact backend).
     """
     env = module.env
+    if which == "G":
+        a, da = _int_matrix(braid_transfer(n, env), module)
+        b, db = _int_matrix(braid_transfer(n, env, bar=True), module)
+        c = env.q ** n + env.q ** (-n)
+        wa = c.denominator * db * db
+        wb = c.denominator * da * da
+        wab = c.numerator * da * db
+        den = c.denominator * (da * db) ** 2
+        return [[Fraction(x * wa + y * wb - z * wab, den)
+                 for x, y, z in zip(*rows)]
+                for rows in zip(_matmul(a, a), _matmul(b, b), _matmul(a, b))]
     if which != "H":
         return matrix_of(build_central(n, which, env), module)
     m = _chebyshev_degree(n, k)
-    sums, den = _action_numerators(braid_transfer(n, env), module)
-    g = math.gcd(den, *sums.values())
-    den //= g
+    a, den = _int_matrix(braid_transfer(n, env), module)
     dim = len(module.basis)
-    a = [[0] * dim for _ in range(dim)]
-    for cell, val in sums.items():
-        i, j = divmod(cell, dim)
-        a[i][j] = val // g
     den2 = den * den
     prev = [[(2 if i == j else 0) for j in range(dim)] for i in range(dim)]
     cur = a if m else prev
     for _ in range(2, m + 1):
-        cols = list(zip(*cur))
-        prev, cur = cur, [
-            [sum(map(operator.mul, row, col)) - den2 * p
-             for col, p in zip(cols, prow)]
-            for row, prow in zip(a, prev)]
+        prev, cur = cur, [[x - den2 * p for x, p in zip(row, prow)]
+                          for row, prow in zip(_matmul(a, cur), prev)]
     scale = den ** m
     n2k = int(n * n * Fraction(k))
     alg = Algebra(AlgebraVariant("aTL", n), env)

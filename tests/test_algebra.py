@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from uncoiledtl import algebra
 from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
                                 InfiniteAlgebraError, ResourceLimitError,
                                 _sandwich_triples, basis_dimension,
                                 basis_enumerate, dimension_closed_form,
                                 psi_bilinear, reduce)
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, e, identity,
-                                 link_states, multiply_raw, omega)
-from uncoiledtl.projectors import wenzl_jones_P
+                                 link_states, multiply_raw, omega,
+                                 trace_interface)
+from uncoiledtl.projectors import (build_projector_Q, gamma_solve,
+                                   wenzl_jones_P)
 from uncoiledtl.scalars import (ALL_KINDS, FLOAT_RTOL, UNCOILED_KINDS,
                                 sample_env)
 
@@ -304,6 +307,86 @@ def test_mul_integer_accumulation_edge_cases():
                              basis[1]: Fraction(-2, 13)})
     for lhs, rhs in ((a, b), (b, a), (a, a), (b, b)):
         assert (lhs * rhs).terms == _pairwise_product(lhs, rhs).terms
+
+
+def test_mul_drops_left_terms_that_cancel_on_one_code(monkeypatch):
+    # x and y share their top, so they form one left group, and x * z and
+    # y * z are one raw diagram at one loop count: their codes coincide and
+    # x - y sums to zero there.  With UTL_MAX_TERMS = 0 a single
+    # accumulator entry, even a zero one, would raise.
+    v = AlgebraVariant("upTL1", 4)
+    alg = Algebra(v, sample_env(1, "upTL1", 4))
+    basis = basis_enumerate(v)
+    x, y, z = next((x, y, z) for x in basis for y in basis
+                   if x != y and x.top == y.top for z in basis
+                   if multiply_raw(x, z)[:2] == multiply_raw(y, z)[:2]
+                   and reduce(multiply_raw(x, z)[0], v, alg.env)[1])
+    a = AlgebraElement(alg, {x: Fraction(2, 3), y: Fraction(-2, 3)})
+    b = AlgebraElement(alg, {z: Fraction(5, 7)})
+    want = _pairwise_product(a, b)
+    monkeypatch.setenv("UTL_MAX_TERMS", "0")
+    got = a * b
+    assert got.terms == want.terms == {}
+    monkeypatch.delenv("UTL_MAX_TERMS")
+    w = next(w for w in basis if w.top == x.top and w not in (x, y)
+             and _pairwise_product(AlgebraElement(alg, {w: 1}), b).terms)
+    a = AlgebraElement(alg, {x: Fraction(2, 3), y: Fraction(-2, 3), w: 3})
+    assert (a * b).terms == _pairwise_product(a, b).terms != {}
+
+
+def test_mul_reuses_the_codes_of_a_shared_side_record(monkeypatch):
+    # each group's outer faces are computed once per distinct side record:
+    # (bottom, upper, d_new, nc) on the right, (lower, d_new) within one
+    # top group on the left
+    v = AlgebraVariant("upTL", 5)
+    alg = Algebra(v, sample_env(2, "upTL", 5))
+    rng = random.Random(5)
+    basis = basis_enumerate(v)
+    a = alg.element({dia: rng.randint(1, 9) for dia in rng.sample(basis, 40)})
+    b = alg.element({dia: rng.randint(1, 9) for dia in rng.sample(basis, 40)})
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return outer_face(*args)
+
+    outer_face = algebra.outer_face
+    monkeypatch.setattr(algebra, "outer_face", counting)
+    got = a * b
+    assert got.terms == _pairwise_product(a, b).terms
+    by_top, by_bottom = {}, {}
+    for dia in a.terms:
+        by_top.setdefault(dia.top, []).append(dia)
+    for dia in b.terms:
+        by_bottom.setdefault(dia.bottom, []).append(dia)
+    left, right = 0, {}
+    for top, group in by_top.items():
+        records = set()
+        for bottom, right_group in by_bottom.items():
+            _, nc, lower, upper, d_new = trace_interface(top, bottom)
+            records.add((lower, d_new))
+            right[bottom, upper, d_new, nc] = len(right_group)
+        left += len(records) * len(group)
+    per_block = sum(len(g) * len(by_bottom) for g in by_top.values()) + \
+        sum(len(g) * len(by_top) for g in by_bottom.values())
+    assert len(calls) == left + sum(right.values()) < per_block
+
+
+@pytest.mark.parametrize("kind, n", [("upTL", 5), ("uaTL2", 4)])
+def test_mul_with_a_zero_factor(kind, n):
+    alg = Algebra(AlgebraVariant(kind, n), sample_env(1, kind, n))
+    x = alg.e(1) + 3 * alg.one()
+    for a, b in ((alg.zero(), x), (x, alg.zero()),
+                 (alg.zero(), alg.zero())):
+        got = a * b
+        assert got.terms == _pairwise_product(a, b).terms == {}
+
+
+@pytest.mark.parametrize("kind, n", [("upTL", 5), ("uaTL2", 4)])
+def test_projector_square_matches_pairwise_reference(kind, n):
+    v = AlgebraVariant(kind, n)
+    q = build_projector_Q(gamma_solve(v, n, None, sample_env(1, kind, n)))
+    assert (q * q).terms == _pairwise_product(q, q).terms == q.terms
 
 
 def _mixed_element(alg, rng, size):

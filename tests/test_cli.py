@@ -255,6 +255,25 @@ def _run_quiet(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["projector", "--help"], ["gamma", "--help"],
+    ["projector", "--bogus"], ["nope"], ["projector"],
+    ["selfcheck", "--max-n", "x"], [], ["dims", "--algebra", "uatl",
+                                        "--n", "3"]])
+def test_one_command_parser_answers_as_the_whole_parser(argv, monkeypatch):
+    got = _run_quiet(argv)
+    monkeypatch.setattr(cli, "_parser",
+                        lambda command=None: cli.build_parser())
+    assert _run_quiet(argv) == got
+
+
+def test_a_command_parser_holds_that_command_alone():
+    with pytest.raises(ValueError, match="invalid choice: 'dims'"):
+        cli.build_parser("gamma").parse_args(["dims", "--algebra", "uatl"])
+    assert cli._parser("gamma") is cli._parser("gamma")
+    assert cli._parser("gamma") is not cli._parser()
+
+
 def _error_code(argv):
     code, _, err = _run_quiet(argv)
     assert "error" in json.loads(err), err

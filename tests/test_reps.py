@@ -158,6 +158,17 @@ def test_h_element_matches_matrix_route():
             assert is_scalar_action(el, m, central_eigenvalue("H", m, k))
 
 
+def test_g_matrix_route_matches_the_element():
+    # F^2 + Fbar^2 - (q^n + q^-n) F Fbar from the matrices of F and Fbar
+    for n in range(3, 6):
+        for seed in (0, 5):
+            env = sample_env(seed, "aTL", n)
+            g = build_central(n, "G", env)
+            for d in range(n % 2, n + 1, 2):
+                m = StandardModule(n, d, env.z, env)
+                assert central_matrix(n, "G", m) == matrix_of(g, m), (n, d)
+
+
 def _central_matrix_h_reference(n, module, k):
     """H(k) on a module by the Chebyshev recurrence on Fraction matrices:
     U_j = F U_{j-1} - U_{j-2} from U_0 = 2I and U_1 = F."""

@@ -1,13 +1,16 @@
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from uncoiledtl.scalars import (EXACT, NonGenericParameterError, ParamEnv,
-                                qbinom, qfact, qnum, qnum_at, sample_env,
-                                scalar_from_json, scalar_to_json, validate_env)
+from uncoiledtl.scalars import (_DECIMAL_BITS, EXACT,
+                                NonGenericParameterError, ParamEnv,
+                                _int_to_str, qbinom, qfact, qnum, qnum_at,
+                                sample_env, scalar_from_json, scalar_to_json,
+                                validate_env)
 
 
 def test_qnum_basics():
@@ -157,6 +160,26 @@ def test_scalar_serialization_roundtrip():
     assert scalar_from_json("5") == Fraction(5)
     z = complex(1.5, -2.0)
     assert scalar_from_json(scalar_to_json(z)) == z
+
+
+def test_int_to_str_equals_str_at_every_length():
+    # the str() path, the 640-digit chunks and the Decimal route past
+    # _DECIMAL_BITS, from 1 to 100k digits, both signs
+    rng = random.Random(3)
+    cases = [0, 10 ** 640 - 1, 10 ** 640, 2 ** _DECIMAL_BITS,
+             2 ** _DECIMAL_BITS - 1, 2 ** _DECIMAL_BITS + 1]
+    for digits in (1, 2, 639, 640, 641, 1280, 1281, 4300, 4301, 19_000,
+                   19_729, 20_000, 54_321, 100_000):
+        cases += [rng.randrange(10 ** (digits - 1), 10 ** digits),
+                  10 ** digits, 10 ** digits - 1]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for x in cases:
+            assert _int_to_str(x) == str(x)
+            assert _int_to_str(-x) == str(-x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_float_backend_equality():
