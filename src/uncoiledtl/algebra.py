@@ -300,8 +300,11 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     block only through one side record of ``trace_interface``.  So each
     group of terms (the right ones of a bottom, the left ones of a top) is
     coded once per distinct record, the coefficients of the terms that
-    share a code are summed, zero sums dropped, and a pair of codes only
-    adds the product of their sums under their key.
+    share a code are summed, and zero sums dropped.  The key is the sum of
+    the two codes and beta_exp * NB * NT * W, so within one top group the
+    right sums of all the blocks with one left record and one beta_exp are
+    added up by code as well, and the pair loop runs once per such class:
+    a pair of codes only adds the product of their sums under their key.
 
     Both factors are first put over their common denominators (sa and sb),
     so a pair of terms costs one int multiply and add, not a Fraction
@@ -340,14 +343,15 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     acc = {}
     get = acc.get
     # codes by side record: (bottom, upper, d_new, nc) on the right and
-    # (lower, d_new) within one top group on the left; beta_exp is a shift
+    # (lower, d_new) within one top group on the left
     right_codes, left_codes = {}, {}
+    classes = {}  # (lower, d_new, beta_exp) -> {right code: sum}, per top
     shift = nb * nt * width
     for top, left in by_top.items():
-        left_codes.clear()
         for bottom, right in by_bottom.items():
             beta_exp, nc, lower, upper, d_new = trace_interface(top, bottom)
-            codes_r = right_codes.get((bottom, upper, d_new, nc))
+            key_r = bottom, upper, d_new, nc
+            codes_r = right_codes.get(key_r)
             if codes_r is None:
                 by_code = {}
                 for dia, c in right:
@@ -358,9 +362,16 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                         raise AssertionError("interface wider than its bound")
                     code = tops.setdefault(face, len(tops)) * width + r
                     by_code[code] = by_code.get(code, 0) + c
-                codes_r = right_codes[bottom, upper, d_new, nc] = [
+                codes_r = right_codes[key_r] = [
                     kv for kv in by_code.items() if kv[1]]
-            codes_l = left_codes.get((lower, d_new))
+            merged = classes.get((lower, d_new, beta_exp))
+            if merged is None:
+                merged = classes[lower, d_new, beta_exp] = {}
+            for code, c in codes_r:
+                merged[code] = merged.get(code, 0) + c
+        for (lower, d_new, beta_exp), merged in classes.items():
+            key_l = lower, d_new
+            codes_l = left_codes.get(key_l)
             if codes_l is None:
                 by_code = {}
                 for dia, c in left:
@@ -372,8 +383,9 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                     code = (bottoms.setdefault(face, len(bottoms)) * nt
                             * width + off - li)
                     by_code[code] = by_code.get(code, 0) + c
-                codes_l = left_codes[lower, d_new] = [
+                codes_l = left_codes[key_l] = [
                     kv for kv in by_code.items() if kv[1]]
+            codes_r = [kv for kv in merged.items() if kv[1]]
             row = beta_exp * shift
             for code_l, c1 in codes_l:
                 code_l += row
@@ -383,7 +395,9 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             if len(acc) > cap:
                 raise ResourceLimitError(
                     f"element exceeded UTL_MAX_TERMS={cap}")
-    del right_codes, left_codes
+        left_codes.clear()
+        classes.clear()
+    del right_codes, left_codes, classes
 
     bottoms, tops = list(bottoms), list(tops)
     rmemo, sids = alg._reduce_memo, alg._scalar_ids

@@ -334,6 +334,35 @@ def test_mul_drops_left_terms_that_cancel_on_one_code(monkeypatch):
     assert (a * b).terms == _pairwise_product(a, b).terms != {}
 
 
+def test_mul_sums_right_terms_of_two_bottoms_in_one_class(monkeypatch):
+    # z1 and z2 lie in two bottom groups, but x * z1 and x * z2 are one raw
+    # diagram at one loop count, and both interfaces give x's group one
+    # left record: their right sums meet in one class and cancel there, so
+    # no accumulator entry is made (UTL_MAX_TERMS = 0 would refuse one)
+    v = AlgebraVariant("upTL", 3)
+    alg = Algebra(v, sample_env(1, "upTL", 3))
+    basis = basis_enumerate(v)
+
+    def left_record(x, z):
+        _, _, lower, _, d_new = trace_interface(x.top, z.bottom)
+        return lower, d_new
+
+    x, z1, z2 = next(
+        (x, z1, z2) for x in basis for z1 in basis for z2 in basis
+        if z1.bottom != z2.bottom
+        and multiply_raw(x, z1)[:2] == multiply_raw(x, z2)[:2]
+        and reduce(multiply_raw(x, z1)[0], v, alg.env)[1]
+        and left_record(x, z1) == left_record(x, z2))
+    a = AlgebraElement(alg, {x: Fraction(3, 5)})
+    b = AlgebraElement(alg, {z1: Fraction(1, 2), z2: Fraction(-1, 2)})
+    want = _pairwise_product(a, b)
+    monkeypatch.setenv("UTL_MAX_TERMS", "0")
+    assert (a * b).terms == want.terms == {}
+    monkeypatch.delenv("UTL_MAX_TERMS")
+    b = AlgebraElement(alg, {z1: Fraction(1, 2), z2: Fraction(-1, 3)})
+    assert (a * b).terms == _pairwise_product(a, b).terms != {}
+
+
 def test_mul_reuses_the_codes_of_a_shared_side_record(monkeypatch):
     # each group's outer faces are computed once per distinct side record:
     # (bottom, upper, d_new, nc) on the right, (lower, d_new) within one
