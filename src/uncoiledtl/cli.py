@@ -227,57 +227,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# the flags several subcommands share, each given only to those that read it
-_SHARED = {
-    "--algebra": {"choices": sorted(ALGEBRA_NAMES), "required": True},
-    "--seed": {"type": int, "default": 0},
-    "--q-half": {"dest": "q_half", "metavar": "P/Q"},
-    "--alpha": {"metavar": "P/Q"},
-    "--gamma": {"metavar": "P/Q"},
-    "--gamma-root": {"dest": "gamma_root", "metavar": "P/Q",
-                     "help": "omega; sets gamma = omega^n"},
-    "--z": {"metavar": "P/Q"},
-    "--format": {"choices": ("json", "art"), "default": "json"},
-}
-_ENV_FLAGS = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
-              "--z")
-
-# name -> (help, handler, shared flags, own flags with their options)
-_COMMANDS = {
-    "dims": (
-        "closed-form vs enumerated dimensions", cmd_dims, ("--algebra",),
-        (("--n", {"type": int}),
-         ("--max-n", {"dest": "max_n", "type": int, "default": 10}),
-         ("--enumerate", {"action": "store_true"}))),
-    "basis": (
-        "dump the sandwich basis", cmd_basis, ("--algebra", "--format"),
-        (("--n", {"type": int, "required": True}),)),
-    "gamma": (
-        "Gamma coefficient tables", cmd_gamma, ("--algebra",) + _ENV_FLAGS,
-        (("--n", {"type": int, "required": True}),
-         ("--r", {"type": int}),
-         ("--method", {"choices": ("solver", "conjecture", "both"),
-                       "default": "both"}))),
-    "projector": (
-        "build and verify Q", cmd_projector, ("--algebra",) + _ENV_FLAGS,
-        (("--n", {"type": int, "required": True}),
-         ("--r", {"type": int}),
-         ("--method", {"choices": ("solver", "conjecture"),
-                       "default": "solver"}),
-         ("--verify", {"action": "store_true"}),
-         ("--oracle", {"action": "store_true"}))),
-    "central": (
-        "central element eigenvalue checks", cmd_central,
-        ("--seed", "--q-half", "--z"),
-        (("--n", {"type": int, "required": True}),
-         ("--d", {"type": int}),
-         ("--which", {"choices": ("F", "Fbar", "G", "H", "OmegaN"),
-                      "required": True}),
-         ("--k", {"help": "Chebyshev index for H (rational)"}))),
-    "selfcheck": (
-        "run the acceptance battery", cmd_selfcheck, ("--seed",),
-        (("--max-n", {"dest": "max_n", "type": int, "default": 4}),)),
-}
+# the subcommands, in the order build_parser adds them
+_COMMAND_NAMES = ("dims", "basis", "gamma", "projector", "central",
+                  "selfcheck")
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
@@ -289,12 +241,63 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         description="uncoiled Temperley-Lieb algebras: enumeration, "
                     "projectors, verification")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_, func, shared, own) in _COMMANDS.items():
+    # the flags several subcommands share, each given only to those that
+    # read it
+    shared = {
+        "--algebra": {"choices": sorted(ALGEBRA_NAMES), "required": True},
+        "--seed": {"type": int, "default": 0},
+        "--q-half": {"dest": "q_half", "metavar": "P/Q"},
+        "--alpha": {"metavar": "P/Q"},
+        "--gamma": {"metavar": "P/Q"},
+        "--gamma-root": {"dest": "gamma_root", "metavar": "P/Q",
+                         "help": "omega; sets gamma = omega^n"},
+        "--z": {"metavar": "P/Q"},
+        "--format": {"choices": ("json", "art"), "default": "json"},
+    }
+    env_flags = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
+                 "--z")
+    # name -> (help, handler, shared flags, own flags with their options)
+    commands = {
+        "dims": (
+            "closed-form vs enumerated dimensions", cmd_dims, ("--algebra",),
+            (("--n", {"type": int}),
+             ("--max-n", {"dest": "max_n", "type": int, "default": 10}),
+             ("--enumerate", {"action": "store_true"}))),
+        "basis": (
+            "dump the sandwich basis", cmd_basis, ("--algebra", "--format"),
+            (("--n", {"type": int, "required": True}),)),
+        "gamma": (
+            "Gamma coefficient tables", cmd_gamma, ("--algebra",) + env_flags,
+            (("--n", {"type": int, "required": True}),
+             ("--r", {"type": int}),
+             ("--method", {"choices": ("solver", "conjecture", "both"),
+                           "default": "both"}))),
+        "projector": (
+            "build and verify Q", cmd_projector, ("--algebra",) + env_flags,
+            (("--n", {"type": int, "required": True}),
+             ("--r", {"type": int}),
+             ("--method", {"choices": ("solver", "conjecture"),
+                           "default": "solver"}),
+             ("--verify", {"action": "store_true"}),
+             ("--oracle", {"action": "store_true"}))),
+        "central": (
+            "central element eigenvalue checks", cmd_central,
+            ("--seed", "--q-half", "--z"),
+            (("--n", {"type": int, "required": True}),
+             ("--d", {"type": int}),
+             ("--which", {"choices": ("F", "Fbar", "G", "H", "OmegaN"),
+                          "required": True}),
+             ("--k", {"help": "Chebyshev index for H (rational)"}))),
+        "selfcheck": (
+            "run the acceptance battery", cmd_selfcheck, ("--seed",),
+            (("--max-n", {"dest": "max_n", "type": int, "default": 4}),)),
+    }
+    for name, (help_, func, flags, own) in commands.items():
         if command not in (None, name):
             continue
         sp = sub.add_parser(name, help=help_)
-        for flag in shared:
-            sp.add_argument(flag, **_SHARED[flag])
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
         for flag, options in own:
             sp.add_argument(flag, **options)
         sp.set_defaults(func=func)
@@ -312,7 +315,7 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # a command's own parser is a sixth of the whole one to build
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
     try:
         args = _parser(command).parse_args(argv)
         code = args.func(args)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -272,6 +273,12 @@ def test_a_command_parser_holds_that_command_alone():
         cli.build_parser("gamma").parse_args(["dims", "--algebra", "uatl"])
     assert cli._parser("gamma") is cli._parser("gamma")
     assert cli._parser("gamma") is not cli._parser()
+
+
+def test_command_names_are_the_whole_parser_commands():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli._COMMAND_NAMES
 
 
 def _error_code(argv):
