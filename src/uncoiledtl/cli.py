@@ -26,8 +26,8 @@ from .projectors import (build_projector_Q, gamma_residuals,
                          projector_certificate)
 from .reps import (StandardModule, central_matrix, central_eigenvalue,
                    is_scalar_matrix)
-from .scalars import (NonGenericParameterError, ParamEnv, sample_env,
-                      scalar_to_json, validate_env)
+from .scalars import (AFFINE_KINDS, NonGenericParameterError, ParamEnv,
+                      sample_env, scalar_to_json, validate_env)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -71,6 +71,12 @@ def _build_env(args, kind: str, n: int) -> ParamEnv:
     if getattr(args, "gamma", None):
         overrides["gamma"] = _parse_rational(args.gamma)
     if getattr(args, "gamma_root", None):
+        if getattr(args, "gamma", None):
+            raise ValueError("--gamma-root sets gamma = omega^n: give it "
+                             "or --gamma, not both")
+        if kind not in AFFINE_KINDS:
+            raise ValueError(f"--gamma-root sets omega, which {kind} "
+                             "does not have")
         w = _parse_rational(args.gamma_root)
         overrides["omega"] = w
         overrides["gamma"] = w ** n
@@ -82,19 +88,16 @@ def _build_env(args, kind: str, n: int) -> ParamEnv:
     return env
 
 
-def _emit(doc, args) -> None:
-    if getattr(args, "format", "json") == "art":  # basis alone takes it
-        print(doc["art"])
-    else:
-        # json writes an int through str(), which refuses more digits than
-        # the interpreter's limit (4300 by default): lift it for this call
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            text = json.dumps(doc, sort_keys=True)
-        finally:
-            sys.set_int_max_str_digits(limit)
-        print(text)
+def _emit(doc) -> None:
+    # json writes an int through str(), which refuses more digits than the
+    # interpreter's limit (4300 by default): lift it for this call
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(doc, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def cmd_dims(args) -> int:
@@ -119,7 +122,7 @@ def cmd_dims(args) -> int:
         out["results"].append(row)
     if not out["results"]:  # an empty sweep would pass vacuously
         raise ValueError(f"{kind} admits no size 1 <= n <= {args.max_n}")
-    _emit(out, args)
+    _emit(out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -127,14 +130,18 @@ def cmd_basis(args) -> int:
     kind = ALGEBRA_NAMES[args.algebra]
     variant = AlgebraVariant(kind, args.n)
     basis = basis_enumerate(variant)
+    art = "\n".join(d.art() for d in basis)
+    if args.format == "art":
+        print(art)
+        return EXIT_OK
     doc = {
         "algebra": args.algebra,
         "n": args.n,
         "dimension": len(basis),
         "basis": [d.to_json() for d in basis],
-        "art": "\n".join(d.art() for d in basis),
+        "art": art,
     }
-    _emit(doc, args)
+    _emit(doc)
     return EXIT_OK
 
 
@@ -164,7 +171,7 @@ def cmd_gamma(args) -> int:
         doc["match"] = all(env.is_zero(v) for v in diff.values())
         if not doc["match"]:
             code = EXIT_VERIFY
-    _emit(doc, args)
+    _emit(doc)
     return code
 
 
@@ -176,16 +183,18 @@ def cmd_projector(args) -> int:
     if args.verify or args.oracle:
         cert = projector_certificate(variant, args.n, args.r, env,
                                      method=method, with_oracle=args.oracle)
-        _emit(cert, args)
+        _emit(cert)
         return EXIT_OK if cert["verified"] else EXIT_VERIFY
     q = build_projector_Q(gamma_table(variant, args.n, args.r, env, method))
     doc = {"algebra": args.algebra, "n": args.n, "r": args.r,
            "env": env.to_json(), "projector": q.to_json()}
-    _emit(doc, args)
+    _emit(doc)
     return EXIT_OK
 
 
 def cmd_central(args) -> int:
+    if args.k is not None and args.which != "H":
+        raise ValueError("--k is the Chebyshev index of --which H alone")
     n = args.n
     env = _build_env(args, "aTL", n)
     if args.d is None:
@@ -205,7 +214,7 @@ def cmd_central(args) -> int:
                         "scalar_action": match})
     doc = {"which": args.which, "n": n, "k": args.k, "env": env.to_json(),
            "results": results}
-    _emit(doc, args)
+    _emit(doc)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -215,7 +224,7 @@ def cmd_selfcheck(args) -> int:
            "checks": [{"name": name, "passed": okc, "detail": detail}
                       for (name, okc, detail) in report],
            "passed": all(okc for (_, okc, _) in report)}
-    _emit(doc, args)
+    _emit(doc)
     return EXIT_OK if doc["passed"] else EXIT_VERIFY
 
 

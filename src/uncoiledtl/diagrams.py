@@ -407,91 +407,58 @@ def multiply_raw(c1: Diagram, c2: Diagram):
         raise ValueError("size mismatch")
     t1, p1 = _wires(c1)
     t2, p2 = _wires(c2)
+    seen = bytearray(n)   # interface base nodes consumed
+
+    def walk(layer, port, stop=None):
+        # Follow a curve from a port of c1 (layer 0) or c2 (layer 1) to an
+        # outer face, (layer, port, cover position) there, or on a closed
+        # loop back to interface node stop, (layer, stop, winding).
+        shift = 0
+        while True:
+            t = (t2 if layer else t1)[port]
+            p = (p2 if layer else p1)[port] + shift
+            if (t >= n) == layer:        # c1's bottom or c2's top
+                return layer, t, p
+            base = t % n
+            seen[base] = 1
+            shift = p - base
+            if base == stop:
+                return layer, base, shift
+            layer, port = 1 - layer, base + n * layer  # the other side
 
     bot = [None] * n     # base bottom node -> partner cover position
     topp = [None] * n
     through = [None] * n  # base bottom node -> top cover position
-    seen = bytearray(n)   # interface base nodes consumed
-    top_used = bytearray(n)
-
+    ends = set()          # c2 top ports that end a through-line
     for i in range(n):
-        if bot[i] is not None:
-            continue
-        # walk from c1's bottom port i until leaving through an outer face
-        layer, port, shift = 0, i, 0
-        while True:
-            if layer == 0:
-                t = t1[port]
-                p = p1[port] + shift
-                if t >= n:               # c1 top: cross the interface up
-                    base = t - n
-                    seen[base] = 1
-                    layer, port, shift = 1, base, p - base
-                    continue
+        if bot[i] is None:
+            layer, t, p = walk(0, i)
+            if layer:
+                through[i] = p
+                ends.add(t)
+            else:
                 bot[i] = p
                 bot[t] = i + (t - p)
-                break
-            t = t2[port]
-            p = p2[port] + shift
-            if t < n:                    # c2 bottom: cross down
-                seen[t] = 1
-                layer, port, shift = 0, n + t, p - t
-                continue
-            through[i] = p
-            top_used[t - n] = 1          # consumed by a through-line
-            break
-
     for i in range(n):
-        if top_used[i] or topp[i] is not None:
-            continue
-        layer, port, shift = 1, n + i, 0
-        while True:
-            if layer == 1:
-                t = t2[port]
-                p = p2[port] + shift
-                if t < n:
-                    seen[t] = 1
-                    layer, port, shift = 0, n + t, p - t
-                    continue
-                base = t - n
-                topp[i] = p
-                topp[base] = i + (base - p)
-                break
-            t = t1[port]
-            p = p1[port] + shift
-            if t < n:
+        if n + i not in ends and topp[i] is None:
+            layer, t, p = walk(1, n + i)
+            if not layer:
                 raise AssertionError("top trace escaped through the bottom")
-            base = t - n
-            seen[base] = 1
-            layer, port, shift = 1, base, p - base
+            topp[i] = p
+            topp[t - n] = i + (t - n - p)
 
     beta_exp = 0
     nc_gained = 0
     for start in range(n):
         if seen[start]:
             continue
-        seen[start] = 1
-        layer, pos = 1, start
-        while True:
-            base = pos % n
-            off = pos - base
-            if layer == 1:
-                t = t2[base]
-                p = p2[base] + off
-            else:
-                t = t1[n + base] - n
-                p = p1[n + base] + off
-            seen[t] = 1
-            if t == start:
-                delta = p - start
-                break
-            pos, layer = p, 1 - layer
+        delta = walk(1, start, start)[2]
         if delta == 0:
             beta_exp += 1
-        else:
-            if delta != n and delta != -n:
-                raise AssertionError("loop with |winding| > 1")
+        elif delta == n or delta == -n:
             nc_gained += 1
+        else:
+            raise AssertionError("loop with |winding| > 1")
 
     inherited = (c1.mid if c1.d == 0 else 0) + (c2.mid if c2.d == 0 else 0)
     return (from_cover(bot, topp, through, inherited + nc_gained), beta_exp,
@@ -524,9 +491,9 @@ def trace_interface(lower: LinkState, upper: LinkState):
     dl, du = len(lower_index), len(upper_index)
     seen = bytearray(n)
 
-    def walk(pos, layer):
+    def walk(pos, layer, stop=None):
         # Alternate upper (layer 1) and lower (layer 0) arcs from pos until
-        # a defect; return (layer of that defect, its cover position).
+        # a defect or node stop; return (the layer there, cover position).
         while True:
             base = pos % n
             part = (uc if layer else lc)[base]
@@ -534,6 +501,8 @@ def trace_interface(lower: LinkState, upper: LinkState):
                 return layer, pos
             pos = part + (pos - base)
             seen[pos % n] = 1
+            if pos % n == stop:
+                return layer, pos
             layer = 1 - layer
 
     lower_pairs, upper_pairs, links = [], [], []
@@ -561,16 +530,7 @@ def trace_interface(lower: LinkState, upper: LinkState):
     for start in range(n):
         if seen[start]:
             continue
-        seen[start] = 1
-        pos, layer = start, 1
-        while True:
-            base = pos % n
-            pos = (uc if layer else lc)[base] + (pos - base)
-            if pos % n == start:
-                delta = pos - start
-                break
-            seen[pos % n] = 1
-            layer = 1 - layer
+        delta = walk(start, 1, start)[1] - start
         if delta == 0:
             beta_exp += 1
         elif delta == n or delta == -n:

@@ -139,23 +139,6 @@ def build_X(alg: Algebra, k: int, l2: int) -> AlgebraElement:
     return _times_P(inner * c)
 
 
-@_block
-def build_Y(alg: Algebra, k: int, l2: int) -> AlgebraElement:
-    """Y_{k,l}: like X but with P_{n-1} wrapped around the seam and the
-    extra half-unit of winding in the middle."""
-    n = alg.n
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"Y_{k} undefined for n={n}")
-    # e_0 then P_{n-1} on strands 2..n then the cup e_1 realizes the wrap:
-    # the projector's first top strand travels around the seam corridor to
-    # its own last bottom strand.  The cup chain shifts the strand frame by
-    # one node, so the picture's winding 2l - 1 reads 2l - 2 in the cup
-    # coordinates used here (pinned by the e_0 Z_{0,l} expansion).
-    lower = alg.e(0) * wenzl_jones_P(n - 1, alg, 1) * alg.e(1)
-    c = alg.from_diagram(cup_diagram(n, k, l2 - 2))
-    return _times_P(lower * c)
-
-
 # -- the e_0 Z expansion --------------------------------------------------------
 
 def _e0Z_layer(kind: str, num, n: int, k: int, alpha):

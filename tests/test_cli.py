@@ -65,6 +65,15 @@ def test_basis_art(capsys):
     assert "|" in out or "<" in out
 
 
+@pytest.mark.parametrize("algebra, n", [("uptl1", "4"), ("uatl2", "4")])
+def test_basis_art_is_the_json_documents_art_field(capsys, algebra, n):
+    argv = ["basis", "--algebra", algebra, "--n", n]
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert capture(capsys, argv + ["--format", "art"]) == (
+        0, json.loads(out)["art"] + "\n")
+
+
 def test_basis_under_and_past_the_term_cap(capsys, monkeypatch):
     # uaTL n = 5 has 180 basis diagrams
     argv = ["basis", "--algebra", "uatl", "--n", "5"]
@@ -355,6 +364,34 @@ def test_a_flag_its_subcommand_does_not_read_is_invalid_input(command, flag):
     code, out, err = _run_quiet(base + [flag, SHARED_FLAG_VALUES[flag]])
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "invalid input"
+
+
+def _assert_refused(argv):
+    code, out, err = _run_quiet(argv)
+    assert (code, out) == (3, ""), argv
+    assert json.loads(err)["error"] == "invalid input"
+
+
+@pytest.mark.parametrize("command", ["gamma", "projector"])
+def test_gamma_with_gamma_root_is_invalid_input(command):
+    # --gamma-root sets gamma = omega^n, which would drop --gamma
+    _assert_refused([command, "--algebra", "uatl", "--n", "3", "--seed", "1",
+                     "--gamma", "2", "--gamma-root", "3"])
+
+
+@pytest.mark.parametrize("algebra, n", [("uptl", "3"), ("uptl1", "4"),
+                                        ("uptl2", "4")])
+def test_gamma_root_of_a_kind_without_omega_is_invalid_input(algebra, n):
+    # the periodic kinds have no omega for --gamma-root to set
+    for command in ("gamma", "projector"):
+        _assert_refused([command, "--algebra", algebra, "--n", n,
+                         "--gamma-root", "2"])
+
+
+@pytest.mark.parametrize("which", ["F", "Fbar", "G", "OmegaN"])
+def test_central_k_without_H_is_invalid_input(which):
+    # --k is the index of H alone; the other elements would ignore it
+    _assert_refused(["central", "--n", "3", "--which", which, "--k", "5"])
 
 
 def test_zero_denominator_is_invalid_input():

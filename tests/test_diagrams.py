@@ -8,7 +8,8 @@ from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, act_on_state,
                                  all_defect, e, flip, identity, link_states,
                                  multiply_raw, omega, omega_inv, parity)
-from uncoiledtl.scalars import ALL_KINDS, sample_env
+from uncoiledtl.scalars import ALL_KINDS, UNCOILED_KINDS, sample_env
+from uncoiledtl.selfcheck import legal_sizes
 
 D = DEFECT
 
@@ -293,6 +294,51 @@ def test_associativity_random_triples():
         y, b2b, n2b = multiply_raw(a, y)
         assert x == y
         assert b1 + b1b == b2 + b2b and n1 + n1b == n2 + n2b
+
+
+def _diagram_pool(kind, n):
+    """The sandwich basis of an uncoiled kind; for aTL, every pair of faces
+    with winding -2d .. 2d (d > 0) or with 0 .. 3 loops (d = 0)."""
+    if kind != "aTL":
+        return basis_enumerate(AlgebraVariant(kind, n))
+    return [Diagram(b, t, mid) for d in range(n % 2, n + 1, 2)
+            for b in link_states(n, d) for t in link_states(n, d)
+            for mid in (range(-2 * d, 2 * d + 1) if d else range(4))]
+
+
+DIAGRAM_POOLS = [(kind, n) for kind in UNCOILED_KINDS
+                 for n in legal_sizes(kind, 6)] + \
+    [("aTL", n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind, n", DIAGRAM_POOLS)
+def test_pairwise_product_is_associative(kind, n):
+    # the reference tracer on its own, over every face pair and winding
+    pool = _diagram_pool(kind, n)
+    rng = random.Random(f"{kind} {n}")
+    for _ in range(200):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        ab, k1, m1 = multiply_raw(a, b)
+        bc, k3, m3 = multiply_raw(b, c)
+        # planar faces, checked as outside input is, before a second trace
+        for x in (ab, bc):
+            assert LinkState(x.bottom.nodes) == x.bottom, (a, b, c)
+            assert LinkState(x.top.nodes) == x.top, (a, b, c)
+        abc, k2, m2 = multiply_raw(ab, c)
+        a_bc, k4, m4 = multiply_raw(a, bc)
+        assert abc == a_bc, (a, b, c)
+        assert (k1 + k2, m1 + m2) == (k3 + k4, m3 + m4), (a, b, c)
+
+
+@pytest.mark.parametrize("kind, n", DIAGRAM_POOLS)
+def test_pairwise_product_flips_to_the_reversed_product(kind, n):
+    pool = _diagram_pool(kind, n)
+    rng = random.Random(f"{kind} {n}")
+    for _ in range(200):
+        a, b = rng.choice(pool), rng.choice(pool)
+        ab, k, m = multiply_raw(a, b)
+        assert flip(flip(ab)) == ab
+        assert multiply_raw(flip(b), flip(a)) == (flip(ab), k, m), (a, b)
 
 
 @given(hst.data())

@@ -15,7 +15,7 @@ from uncoiledtl.diagrams import flip
 from uncoiledtl.linalg import SingularSystemError
 from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
                                    _cup_states, _fold, _folded_layers,
-                                   build_projector_Q, build_X, build_Y,
+                                   _times_P, build_projector_Q, build_X,
                                    build_Z, check_e0Z, cup_diagram,
                                    cup_state, gamma_conjecture, gamma_grid,
                                    gamma_initial, gamma_residuals,
@@ -786,6 +786,15 @@ def _q_in_full(tbl):
     return p * mid * p
 
 
+def _build_Y(alg, k, l2):
+    """Y_{k,l} = e_0 P_{n-1} e_1 (k cups, winding l2 - 2, k caps) P_n, with
+    P_{n-1} on strands 2..n: like X, but with P_{n-1} wrapped around the
+    seam; the cup chain shifts the strand frame by one node, so the
+    picture's winding 2l - 1 reads 2l - 2 in cup coordinates."""
+    lower = alg.e(0) * wenzl_jones_P(alg.n - 1, alg, 1) * alg.e(1)
+    return _times_P(lower * alg.from_diagram(cup_diagram(alg.n, k, l2 - 2)))
+
+
 def test_products_by_P_through_cup_contacts_are_exact():
     # Q, Z, X and Y multiply by P_n on the right through the terms whose
     # top is a cup state only; the dropped terms must have summed to zero
@@ -807,7 +816,7 @@ def test_products_by_P_through_cup_contacts_are_exact():
             if k:
                 assert build_X(alg, k, l2).terms == (inner * c * p).terms
                 c = alg.from_diagram(cup_diagram(n, k, l2 - 2))
-                assert build_Y(alg, k, l2).terms == (lower * c * p).terms
+                assert _build_Y(alg, k, l2).terms == (lower * c * p).terms
         cases += 1
     assert cases == 2 * 19  # 16 kind/size points, uaTL1's three twice
 
@@ -898,7 +907,7 @@ def test_e0Z_k0_row_with_Y():
         lhs = alg.e(0) * build_Z(alg, 0, l2)
         rhs = (qnum(n - l2 - 1, env) / qnum(n - 1, env)) * build_X(alg, 1, l2)
         if l2:
-            rhs = rhs + (qnum(l2, env) / qnum(n, env)) * build_Y(alg, 1, l2)
+            rhs = rhs + (qnum(l2, env) / qnum(n, env)) * _build_Y(alg, 1, l2)
         assert (lhs - rhs).is_zero()
 
 
