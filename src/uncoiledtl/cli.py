@@ -69,6 +69,9 @@ def _build_env(args, kind: str, n: int) -> ParamEnv:
     if getattr(args, "alpha", None):
         overrides["alpha"] = _parse_rational(args.alpha)
     if getattr(args, "gamma", None):
+        if kind == "upTL1":
+            raise ValueError("upTL1's full turn weighs one: it reads no "
+                             "--gamma")
         overrides["gamma"] = _parse_rational(args.gamma)
     if getattr(args, "gamma_root", None):
         if getattr(args, "gamma", None):

@@ -8,12 +8,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import diagrams
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
                       ResourceLimitError, max_terms)
-from .diagrams import act_on_state, link_states
+from .diagrams import link_states, outer_face, trace_interface
 from .scalars import (NonGenericParameterError, ParamEnv,
                       over_common_denominator, ratio)
 
@@ -59,12 +59,16 @@ def _action_numerators(a, module: StandardModule):
     """The action of a diagram or an algebra element on the ordered basis
     of B_{n,d} as ({row * dim + column: numerator}, denominator).
 
-    The coefficients of a are put over one common denominator, and each
-    (cell, weight key) adds up their int numerators.  The handful of
-    distinct weights are then put over one denominator too, so each cell
-    is one int sum.  A complex value is its own numerator over 1, so the
-    float backend runs the same code.  Raises ResourceLimitError before
-    any work once the dim x dim matrix would pass UTL_MAX_TERMS.
+    Each term acts on a state as ``act_on_state`` does, but by interface
+    blocks, as ``mul`` multiplies: the terms are grouped by top, each (top,
+    state) interface is traced once, and a term's outer face is computed
+    once per distinct lower side record of its top.  The coefficients of a
+    are put over one common denominator, and each (cell, weight key) adds
+    up their int numerators.  The handful of distinct weights are then put
+    over one denominator too, so each cell is one int sum.  A complex value
+    is its own numerator over 1, so the float backend runs the same code.
+    Raises ResourceLimitError before any work once the dim x dim matrix
+    would pass UTL_MAX_TERMS.
     """
     basis = module.basis
     dim = len(basis)
@@ -75,23 +79,39 @@ def _action_numerators(a, module: StandardModule):
     index = {s: i for i, s in enumerate(basis)}
     terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
     coeffs, den = over_common_denominator(terms.values())
-    parts = {}  # weight key (b, nc, e) -> {cell: int sum}
+    by_top = {}
     for dia, c in zip(terms, coeffs):
-        stored = 0 if dia.d else dia.mid  # loops on the diagram weigh alpha
+        if dia.n != module.n:
+            raise ValueError("size mismatch")
+        by_top.setdefault(dia.top, []).append((dia, c))
+    parts = {}  # weight key (b, nc, e) -> {cell: int sum}
+    for top, group in by_top.items():
+        faces = {}  # (lower, d_new) -> [(row * dim, li, stored loops, c)]
         for j, state in enumerate(basis):
-            res = act_on_state(dia, state)
-            if res is None:
+            beta_exp, nc, lower, (joined, _, anchor), d_new = \
+                trace_interface(top, state)
+            if joined:
                 continue
-            beta_exp, nc, z_exp, image = res
-            nc += stored
-            if nc and module.d:
-                raise AssertionError("non-contractible loop in a d > 0 action")
-            key = beta_exp, nc, z_exp
-            part = parts.get(key)
-            if part is None:
-                part = parts[key] = {}
-            cell = index[image] * dim + j
-            part[cell] = part.get(cell, 0) + c
+            images = faces.get((lower, d_new))
+            if images is None:
+                images = faces[lower, d_new] = []
+                for dia, c in group:
+                    image, li = outer_face(dia.bottom, dia.mid, lower, d_new)
+                    # loops on the diagram weigh alpha
+                    images.append((index[image] * dim, li or 0,
+                                   0 if dia.d else dia.mid, c))
+            anchor = anchor or 0  # None, like li, when no defect survives
+            for row, li, stored, c in images:
+                loops = nc + stored
+                if loops and module.d:
+                    raise AssertionError(
+                        "non-contractible loop in a d > 0 action")
+                key = beta_exp, loops, anchor - li
+                part = parts.get(key)
+                if part is None:
+                    part = parts[key] = {}
+                cell = row + j
+                part[cell] = part.get(cell, 0) + c
     factors, common = over_common_denominator(map(module.weight, parts))
     sums = {}
     for f, part in zip(factors, parts.values()):
@@ -116,10 +136,15 @@ def matrix_of(a, module: StandardModule):
 
 # -- central elements ---------------------------------------------------------
 
+@lru_cache(maxsize=2)
 def braid_transfer(n: int, env: ParamEnv, bar: bool = False) -> AlgebraElement:
     """F (or F-bar): the row of n crossing faces expanded into 2^n diagram
     terms, each face contributing q^(1/2) on the Omega-type resolution and
-    q^(-1/2) on the other (roles swapped for F-bar)."""
+    q^(-1/2) on the other (roles swapped for F-bar).
+
+    The two latest expansions are kept, by (n, env, bar), so F and Fbar
+    are expanded once for all the sectors of one point; callers share the
+    element and must not change its terms."""
     if n > MAX_BRAID_N:
         raise ResourceLimitError(f"braid transfer limited to n <= {MAX_BRAID_N}")
     alg = Algebra(AlgebraVariant("aTL", n), env)

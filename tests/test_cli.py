@@ -379,6 +379,13 @@ def test_gamma_with_gamma_root_is_invalid_input(command):
                      "--gamma", "2", "--gamma-root", "3"])
 
 
+@pytest.mark.parametrize("command", ["gamma", "projector"])
+def test_gamma_for_uptl1_is_invalid_input(command):
+    # the full turn of upTL1 weighs one, which would drop --gamma
+    _assert_refused([command, "--algebra", "uptl1", "--n", "4", "--seed", "1",
+                     "--gamma", "2"])
+
+
 @pytest.mark.parametrize("algebra, n", [("uptl", "3"), ("uptl1", "4"),
                                         ("uptl2", "4")])
 def test_gamma_root_of_a_kind_without_omega_is_invalid_input(algebra, n):

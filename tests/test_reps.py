@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from uncoiledtl import diagrams, reps
 from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
                                 ResourceLimitError)
-from uncoiledtl.diagrams import DEFECT, LinkState, act_on_state, e, omega
+from uncoiledtl.cli import run
+from uncoiledtl.diagrams import (DEFECT, LinkState, act_on_state, e, omega,
+                                 trace_interface)
 from uncoiledtl.reps import (StandardModule, braid_transfer, build_central,
                              central_eigenvalue, central_matrix,
                              is_scalar_action, matrix_of)
@@ -419,6 +423,75 @@ def test_matrix_of_float_backend_matches_reference():
                 assert all(abs(x - y) <= 1e-9 * scale
                            for rg, rw in zip(got, want)
                            for x, y in zip(rg, rw)), (n, d)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_braid_transfers_match_pairwise_fraction_reference(n):
+    # F and Fbar have many terms per top, which random words rarely give
+    env = sample_env(n, "aTL", n)
+    for f in (braid_transfer(n, env), braid_transfer(n, env, bar=True)):
+        for d in range(n % 2, n + 1, 2):
+            m = StandardModule(n, d, env.z, env)
+            assert matrix_of(f, m) == _matrix_of_reference(f, m), (n, d)
+
+
+def test_matrix_of_reuses_the_faces_of_a_shared_lower_record(monkeypatch):
+    # each term's outer face is computed once per distinct (lower, d_new)
+    # record of its top, however many states give that record
+    n = 6
+    env = sample_env(3, "aTL", n)
+    f = braid_transfer(n, env)
+    by_top = {}
+    for dia in f.terms:
+        by_top.setdefault(dia.top, []).append(dia)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return outer_face(*args)
+
+    outer_face = reps.outer_face
+    monkeypatch.setattr(reps, "outer_face", counting)
+    total, pairs = 0, 0
+    for d in range(0, n + 1, 2):
+        m = StandardModule(n, d, env.z, env)
+        calls.clear()
+        assert matrix_of(f, m) == _matrix_of_reference(f, m), d
+        want = 0
+        for top, group in by_top.items():
+            records = set()
+            for state in m.basis:
+                _, _, lower, upper, d_new = trace_interface(top, state)
+                if not upper[0]:  # no two defects of the state joined
+                    records.add((lower, d_new))
+                    pairs += len(group)
+            want += len(records) * len(group)
+        assert len(calls) == want, d
+        total += want
+    assert total < pairs
+
+
+@pytest.mark.parametrize("which, expansions", [("F", 1), ("G", 2), ("H", 1)])
+def test_central_expands_each_braid_transfer_once(monkeypatch, capsys, which,
+                                                  expansions):
+    # one utl central call acts on the four sectors of n = 6; F (and Fbar,
+    # for G) are expanded into their 2^n diagrams once, not once per sector
+    n = 6
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return from_cover(*args)
+
+    from_cover = diagrams.from_cover
+    monkeypatch.setattr(diagrams, "from_cover", counting)
+    braid_transfer.cache_clear()
+    argv = ["central", "--which", which, "--n", str(n), "--seed", "1"]
+    assert run(argv + (["--k", "1"] if which == "H" else [])) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["d"] for r in doc["results"]] == [0, 2, 4, 6]
+    assert all(r["scalar_action"] for r in doc["results"])
+    assert len(made) == expansions * 2 ** n
 
 
 def test_module_serialization(env_atl5):
