@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from . import diagrams
 from .diagrams import (Diagram, LinkState, link_states, outer_face, sigma_bt,
                        trace_interface)
 from .scalars import (ALL_KINDS, EXACT, FLOAT_RTOL, PERIODIC_KINDS,
-                      ParamEnv, gamma_hat, over_common_denominator, ratio)
+                      FrozenValue, ParamEnv, gamma_hat,
+                      over_common_denominator, ratio)
 
 DEFAULT_MAX_TERMS = 5_000_000
 
@@ -43,25 +43,26 @@ def max_terms() -> int:
     return int(os.environ.get("UTL_MAX_TERMS", DEFAULT_MAX_TERMS))
 
 
-@dataclass(frozen=True)
-class AlgebraVariant:
-    kind: str
-    n: int
+_EVEN_ONLY_KINDS = ("pTL", "TL") + PERIODIC_KINDS
 
-    def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        if self.n < 1:
+
+class AlgebraVariant(FrozenValue):
+    """An algebra kind at a size n.  ``even_only``: pTL-derived variants
+    contain only even diagrams."""
+
+    _fields = ("kind", "n")
+
+    def __init__(self, kind: str, n: int):
+        if kind not in ALL_KINDS:
+            raise ValueError(f"unknown algebra kind {kind!r}")
+        if n < 1:
             raise ValueError("n >= 1 required")
-        if self.kind in ("uaTL", "upTL") and self.n % 2 == 0:
-            raise ValueError(f"{self.kind} requires n odd")
-        if self.kind in ("uaTL1", "upTL1", "uaTL2", "upTL2") and self.n % 2:
-            raise ValueError(f"{self.kind} requires n even")
-
-    @property
-    def even_only(self) -> bool:
-        """pTL-derived variants contain only even diagrams."""
-        return self.kind in ("pTL", "TL") + PERIODIC_KINDS
+        if kind in ("uaTL", "upTL") and n % 2 == 0:
+            raise ValueError(f"{kind} requires n odd")
+        if kind in ("uaTL1", "upTL1", "uaTL2", "upTL2") and n % 2:
+            raise ValueError(f"{kind} requires n even")
+        self.__dict__.update(kind=kind, n=n, _key=(kind, n),
+                             even_only=kind in _EVEN_ONLY_KINDS)
 
     def defect_sectors(self):
         """The through-line counts d carried by this variant's basis: the
@@ -523,13 +524,15 @@ def dimension_closed_form(variant: AlgebraVariant) -> int:
 
 # -- the sandwich bilinear form ----------------------------------------------
 
-@dataclass(frozen=True)
-class MiddleValue:
-    """A scalar multiple of Omega_d^power (d > 0) or f^power (d = 0)."""
+class MiddleValue(FrozenValue):
+    """A scalar multiple coeff of Omega_d^power (d > 0) or f^power
+    (d = 0)."""
 
-    coeff: object
-    power: int
-    d: int
+    _fields = ("coeff", "power", "d")
+
+    def __init__(self, coeff, power: int, d: int):
+        self.__dict__.update(coeff=coeff, power=power, d=d,
+                             _key=(coeff, power, d))
 
     def is_zero(self) -> bool:
         return not self.coeff

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -86,7 +85,7 @@ def _build_env(args, kind: str, n: int) -> ParamEnv:
     if getattr(args, "z", None):
         overrides["z"] = _parse_rational(args.z)
     if overrides:
-        env = replace(env, **overrides)
+        env = env.replace(**overrides)
         validate_env(env, kind, n)
     return env
 
@@ -129,22 +128,31 @@ def cmd_dims(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+# diagrams per piece of the streamed basis document
+_BASIS_BLOCK = 1024
+
+
 def cmd_basis(args) -> int:
     kind = ALGEBRA_NAMES[args.algebra]
     variant = AlgebraVariant(kind, args.n)
     basis = basis_enumerate(variant)
-    art = "\n".join(d.art() for d in basis)
     if args.format == "art":
-        print(art)
+        print("\n".join(d.art() for d in basis))
         return EXIT_OK
-    doc = {
-        "algebra": args.algebra,
-        "n": args.n,
-        "dimension": len(basis),
-        "basis": [d.to_json() for d in basis],
-        "art": art,
-    }
-    _emit(doc)
+    # json.dumps(doc, sort_keys=True) of the document {algebra, art, basis,
+    # dimension, n}, written in key order a block of diagrams at a time: no
+    # string or list holds the whole basis
+    encode, write = json.JSONEncoder(sort_keys=True).encode, sys.stdout.write
+    blocks = [basis[i:i + _BASIS_BLOCK]
+              for i in range(0, len(basis), _BASIS_BLOCK)]
+    write(f'{{"algebra": {encode(args.algebra)}, "art": "')
+    for i, block in enumerate(blocks):  # [1:-1]: the string's inner text
+        write(("\\n" if i else "")
+              + encode("\n".join(d.art() for d in block))[1:-1])
+    write('", "basis": [')
+    for i, block in enumerate(blocks):  # [1:-1]: the list's inner text
+        write((", " if i else "") + encode([d.to_json() for d in block])[1:-1])
+    write(f'], "dimension": {len(basis)}, "n": {args.n}}}\n')
     return EXIT_OK
 
 

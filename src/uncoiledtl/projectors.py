@@ -30,7 +30,6 @@ by the solver and the residual checker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import groupby
@@ -214,15 +213,31 @@ def gamma_grid(variant: AlgebraVariant):
     return tuple(out)
 
 
-@dataclass
 class GammaTable:
-    """The coefficients Gamma_{k, l} of one projector, indexed by (k, 2l)."""
+    """The coefficients Gamma_{k, l} of one projector, indexed by (k, 2l):
+    mutable, compared by its fields, unhashable."""
 
-    variant: AlgebraVariant
-    n: int
-    r: int | None
-    env: ParamEnv
-    entries: dict = field(default_factory=dict)
+    def __init__(self, variant: AlgebraVariant, n: int, r: int | None,
+                 env: ParamEnv, entries: dict | None = None):
+        self.variant = variant
+        self.n = n
+        self.r = r
+        self.env = env
+        self.entries = {} if entries is None else entries
+
+    def _values(self) -> tuple:
+        return self.variant, self.n, self.r, self.env, self.entries
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"GammaTable(variant={self.variant!r}, n={self.n!r}, "
+                f"r={self.r!r}, env={self.env!r}, entries={self.entries!r})")
 
     def eval(self, k: int, l2: int):
         """Gamma at any l2, folded onto the stored window by _fold."""
@@ -806,10 +821,10 @@ def projector_checks(q: AlgebraElement, r, with_oracle: bool) -> dict:
         pair for j, g in _generators(alg)
         for pair in ((f"e_{j} Q", g * q), (f"Q e_{j}", q * g)))
     if variant.kind in AFFINE_KINDS:
-        om, w = alg.omega(), env.omega
+        om, wq = alg.omega(), env.omega * q
         checks["omega_eigen"] = _first_nonzero(
-            (("Omega Q - omega Q", om * q - w * q),
-             ("Q Omega - omega Q", q * om - w * q)))
+            (("Omega Q - omega Q", om * q - wq),
+             ("Q Omega - omega Q", q * om - wq)))
     if with_oracle:
         try:
             oracle = projector_oracle(variant, n, r, env)

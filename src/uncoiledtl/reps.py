@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -14,28 +13,25 @@ from . import diagrams
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant,
                       ResourceLimitError, max_terms)
 from .diagrams import link_states, outer_face, trace_interface
-from .scalars import (NonGenericParameterError, ParamEnv,
+from .scalars import (FrozenValue, NonGenericParameterError, ParamEnv,
                       over_common_denominator, ratio)
 
 MAX_BRAID_N = 8
 MAX_CHEBYSHEV_DEGREE = 24
 
 
-@dataclass(frozen=True)
-class StandardModule:
+class StandardModule(FrozenValue):
     """W_{n,d,z}: link states with d defects; twist z (loop weight
     alpha = z + 1/z when d = 0)."""
 
-    n: int
-    d: int
-    z: object
-    env: ParamEnv
+    _fields = ("n", "d", "z", "env")
 
-    def __post_init__(self):
-        if (self.n - self.d) % 2 or not 0 <= self.d <= self.n:
+    def __init__(self, n: int, d: int, z, env: ParamEnv):
+        if (n - d) % 2 or not 0 <= d <= n:
             raise ValueError("d must match the parity of n")
-        if not self.z:
+        if not z:
             raise NonGenericParameterError("z must be invertible")
+        self.__dict__.update(n=n, d=d, z=z, env=env, _key=(n, d, z, env))
 
     @property
     def basis(self):

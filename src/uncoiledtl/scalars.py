@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -43,42 +42,88 @@ class NonGenericParameterError(ValueError):
     """A guarded denominator vanished: the parameter point is not generic."""
 
 
-@dataclass(frozen=True)
-class ParamEnv:
-    """A concrete parameter point.  q and beta are derived from s, once per
-    instance; equality and hashing see the stored fields only."""
+class FrozenValue:
+    """An immutable value.  A subclass names its fields in ``_fields``, in
+    constructor order, and its ``__init__`` stores them through
+    ``self.__dict__`` together with their tuple ``_key``: equality and hash
+    read ``_key`` (the hash computed on first use and kept), and hold
+    between instances of one class only.  Assigning an attribute raises
+    AttributeError.  Derived values (other entries stored at construction,
+    or a ``cached_property``) stay out of ``_key``."""
 
-    backend: str
-    s: object  # Fraction or complex; q = s**2
-    alpha: object
-    gamma: object
-    omega: object  # None unless the variant is affine uncoiled
-    z: object
-    rng_seed: int
+    _fields = ()
+    _hash = None
 
-    def __post_init__(self):
-        if self.backend not in (EXACT, FLOAT):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == EXACT:
-            # a plain int would make 1 ** -2 a float downstream
-            for name in ("s", "alpha", "gamma", "omega", "z"):
-                x = getattr(self, name)
-                if isinstance(x, int):
-                    object.__setattr__(self, name, Fraction(x))
-                elif x is not None and not isinstance(x, Fraction):
-                    raise ValueError(
-                        f"exact backend needs rational {name}, got {x!r}")
-            if self.s in (0, 1, -1):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._key)
+        return h
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt by the constructor: a kept hash of a str field would be
+        # stale in another process
+        return type(self), self._key
+
+
+# each backend's (one, zero), shared by its envs
+_UNITS = {EXACT: (Fraction(1), Fraction(0)), FLOAT: (complex(1), complex(0))}
+
+
+def _rational(name: str, x):
+    """An exact env's field x: an int becomes a Fraction (a plain int would
+    make 1 ** -2 a float downstream), a Fraction or None stays."""
+    if isinstance(x, int):
+        return Fraction(x)
+    if x is not None and not isinstance(x, Fraction):
+        raise ValueError(f"exact backend needs rational {name}, got {x!r}")
+    return x
+
+
+class ParamEnv(FrozenValue):
+    """A concrete parameter point: backend, s, alpha, gamma, omega (None
+    unless the variant is affine uncoiled), z and rng_seed, with q = s**2.
+    The backend's unit and zero are stored at construction, q and beta
+    derived once per instance; equality and hashing see the fields only."""
+
+    _fields = ("backend", "s", "alpha", "gamma", "omega", "z", "rng_seed")
+
+    def __init__(self, backend: str, s, alpha, gamma, omega, z,
+                 rng_seed: int):
+        if backend not in _UNITS:
+            raise ValueError(f"unknown backend {backend!r}")
+        if backend == EXACT:
+            s, alpha, gamma, omega, z = map(
+                _rational, self._fields[1:6], (s, alpha, gamma, omega, z))
+            if s in (0, 1, -1):
                 raise NonGenericParameterError("s must avoid {0, 1, -1}")
+        one, zero = _UNITS[backend]
+        self.__dict__.update(
+            backend=backend, s=s, alpha=alpha, gamma=gamma, omega=omega, z=z,
+            rng_seed=rng_seed,
+            _key=(backend, s, alpha, gamma, omega, z, rng_seed),
+            one=one, zero=zero)
 
-    @property
-    def one(self):
-        """The backend's multiplicative unit: Fraction(1) or complex(1)."""
-        return Fraction(1) if self.backend == EXACT else complex(1)
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.backend == EXACT else complex(0)
+    def replace(self, **changes) -> "ParamEnv":
+        """A copy with the named fields changed, validated as a new
+        instance."""
+        return ParamEnv(**{**dict(zip(self._fields, self._key)), **changes})
 
     @cached_property
     def q(self):
@@ -105,7 +150,7 @@ class ParamEnv:
 
     def with_omega(self, omega, n: int) -> "ParamEnv":
         """Replace the affine root; gamma = omega^n is re-derived."""
-        return replace(self, omega=omega, gamma=omega ** n)
+        return self.replace(omega=omega, gamma=omega ** n)
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from uncoiledtl import cli, selfcheck
-from uncoiledtl.algebra import AlgebraVariant, dimension_closed_form
+from uncoiledtl.algebra import (AlgebraVariant, basis_enumerate,
+                                dimension_closed_form)
 from uncoiledtl.cli import run
 from uncoiledtl.projectors import gamma_solve
 from uncoiledtl.scalars import _int_to_str
@@ -72,6 +73,24 @@ def test_basis_art_is_the_json_documents_art_field(capsys, algebra, n):
     assert code == 0
     assert capture(capsys, argv + ["--format", "art"]) == (
         0, json.loads(out)["art"] + "\n")
+
+
+@pytest.mark.parametrize("algebra",
+                         ["uatl", "uptl", "uatl1", "uptl1", "uatl2", "uptl2",
+                          "tl"])
+def test_streamed_basis_json_is_the_sorted_document(capsys, algebra):
+    for n in range(1, 7):
+        try:
+            basis = basis_enumerate(AlgebraVariant(cli.ALGEBRA_NAMES[algebra],
+                                                   n))
+        except ValueError:
+            continue
+        doc = {"algebra": algebra, "n": n, "dimension": len(basis),
+               "basis": [d.to_json() for d in basis],
+               "art": "\n".join(d.art() for d in basis)}
+        assert capture(capsys, ["basis", "--algebra", algebra,
+                                "--n", str(n)]) == (
+            0, json.dumps(doc, sort_keys=True) + "\n"), n
 
 
 def test_basis_under_and_past_the_term_cap(capsys, monkeypatch):
@@ -232,6 +251,15 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["match"] is True
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # inspect brings ast, dis and tokenize: milliseconds of every utl call
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, uncoiledtl.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_closed_stdout_ends_quietly_by_sigpipe():

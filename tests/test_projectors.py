@@ -215,12 +215,11 @@ def test_q3r_displayed_coefficient():
 
 
 def test_reflection_symmetry_even_kinds():
-    from dataclasses import replace
     n = 6
     for kind in ("upTL2",):
         env = sample_env(5, kind, n)
         v = AlgebraVariant(kind, n)
-        env_inv = replace(env, gamma=1 / env.gamma)
+        env_inv = env.replace(gamma=1 / env.gamma)
         gh = env.gamma
         t = gamma_table_conjecture(v, n, None, env)
         ti = gamma_table_conjecture(v, n, None, env_inv)

@@ -1,15 +1,19 @@
+import copy
 import math
+import pickle
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from uncoiledtl.scalars import (EXACT, NonGenericParameterError, ParamEnv,
-                                _int_to_str, qbinom, qfact, qnum, qnum_at,
-                                sample_env, scalar_from_json, scalar_to_json,
-                                validate_env)
+from uncoiledtl.algebra import AlgebraVariant, MiddleValue
+from uncoiledtl.projectors import GammaTable
+from uncoiledtl.reps import StandardModule
+from uncoiledtl.scalars import (EXACT, FLOAT, NonGenericParameterError,
+                                ParamEnv, _int_to_str, qbinom, qfact, qnum,
+                                qnum_at, sample_env, scalar_from_json,
+                                scalar_to_json, validate_env)
 
 
 def test_qnum_basics():
@@ -145,11 +149,86 @@ def test_validate_env_rejects_bad_points():
 
 def test_exact_env_takes_ints_as_fractions_and_refuses_floats():
     env = sample_env(0, "uaTL", 3)
-    two = replace(env, z=2)
-    assert type(two.z) is Fraction and two == replace(env, z=Fraction(2))
+    two = env.replace(z=2)
+    assert type(two.z) is Fraction and two == env.replace(z=Fraction(2))
     for bad in (0.5, complex(2)):
         with pytest.raises(ValueError):
-            replace(env, z=bad)
+            env.replace(z=bad)
+
+
+_ENV = sample_env(0, "uaTL", 3)
+
+# (class, field names in constructor order, values, other values): each
+# other value differs from its field's value and is legal in its place
+_VALUE_CLASSES = [
+    (ParamEnv, ("backend", "s", "alpha", "gamma", "omega", "z", "rng_seed"),
+     (EXACT, Fraction(2), Fraction(3), Fraction(5), None, Fraction(7), 0),
+     (FLOAT, Fraction(3), Fraction(2), Fraction(7), Fraction(1),
+      Fraction(5), 1)),
+    (AlgebraVariant, ("kind", "n"), ("uaTL", 3), ("upTL", 5)),
+    (MiddleValue, ("coeff", "power", "d"), (Fraction(1, 2), 1, 2),
+     (Fraction(1, 3), 0, 3)),
+    (StandardModule, ("n", "d", "z", "env"), (4, 2, Fraction(3), _ENV),
+     (6, 0, Fraction(5), sample_env(1, "uaTL", 3))),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, others", _VALUE_CLASSES,
+                         ids=[c[0].__name__ for c in _VALUE_CLASSES])
+def test_value_classes_compare_hash_and_print_their_fields(cls, names,
+                                                           values, others):
+    a, b = cls(*values), cls(**dict(zip(names, values)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert [getattr(a, name) for name in names] == list(values)
+    assert repr(a) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)) + ")"
+    for i, other in enumerate(others):
+        changed = cls(*values[:i], other, *values[i + 1:])
+        assert changed != a and not changed == a, names[i]
+    assert a != values  # equal only to the same class
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_value_reprs_and_derived_values_outside_equality():
+    assert repr(AlgebraVariant("uaTL", 3)) == "AlgebraVariant(kind='uaTL', n=3)"
+    assert repr(MiddleValue(0, 0, 1)) == "MiddleValue(coeff=0, power=0, d=1)"
+    env = sample_env(3, "uaTL", 3)
+    fresh = env.replace()
+    assert env.beta == fresh.beta and env.q == fresh.q
+    assert env == fresh and hash(env) == hash(fresh)
+    assert env.one is env.one and env.zero is env.zero
+    assert env.one == 1 and env.zero == 0 and type(env.one) is Fraction
+    assert env.to_float().one == complex(1)
+    module = StandardModule(3, 1, env.z, env)
+    assert module.alpha == env.z + 1 / env.z
+    assert module == StandardModule(3, 1, env.z, env)
+    assert AlgebraVariant("upTL", 3).even_only
+    assert not AlgebraVariant("uaTL", 3).even_only
+    with pytest.raises(AttributeError):
+        AlgebraVariant("uaTL", 3).even_only = False
+
+
+def test_gamma_table_is_mutable_unhashable_with_its_own_entries():
+    v = AlgebraVariant("uaTL", 3)
+    a, b = GammaTable(v, 3, None, _ENV), GammaTable(v, 3, None, _ENV)
+    assert a == b and a.entries == {} and a.entries is not b.entries
+    a.entries[(0, 0)] = Fraction(1)
+    assert b.entries == {} and a != b
+    with pytest.raises(TypeError):
+        hash(a)
+    c = GammaTable(v, 3, 1, _ENV, {(0, 0): Fraction(1)})
+    assert (c.variant, c.n, c.r, c.env) == (v, 3, 1, _ENV)
+    c.r = None
+    assert c == a
+    assert repr(c) == (f"GammaTable(variant={v!r}, n=3, r=None, "
+                       f"env={_ENV!r}, entries={{(0, 0): Fraction(1, 1)}})")
 
 
 def test_scalar_serialization_roundtrip():
