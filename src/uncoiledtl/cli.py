@@ -10,11 +10,11 @@ Identical flags and seed produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 from . import selfcheck as selfcheck_mod
 from .algebra import (AlgebraVariant, InfiniteAlgebraError,
@@ -239,96 +239,147 @@ def cmd_selfcheck(args) -> int:
     return EXIT_OK if doc["passed"] else EXIT_VERIFY
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line like any other invalid input: a
-    JSON error on stderr and exit 3, not a usage message."""
+# the flags several subcommands share, each given only to those that read it
+_SHARED_FLAGS = {
+    "--algebra": {"choices": sorted(ALGEBRA_NAMES), "required": True},
+    "--seed": {"type": int, "default": 0},
+    "--q-half": {"dest": "q_half", "metavar": "P/Q"},
+    "--alpha": {"metavar": "P/Q"},
+    "--gamma": {"metavar": "P/Q"},
+    "--gamma-root": {"dest": "gamma_root", "metavar": "P/Q",
+                     "help": "omega; sets gamma = omega^n"},
+    "--z": {"metavar": "P/Q"},
+    "--format": {"choices": ("json", "art"), "default": "json"},
+}
+_ENV_FLAGS = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
+              "--z")
+# name -> (help, handler, shared flags, own flags with their options), in
+# the order build_parser adds them; both parsers read flags from here alone
+_COMMANDS = {
+    "dims": (
+        "closed-form vs enumerated dimensions", cmd_dims, ("--algebra",),
+        (("--n", {"type": int}),
+         ("--max-n", {"dest": "max_n", "type": int, "default": 10}),
+         ("--enumerate", {"action": "store_true"}))),
+    "basis": (
+        "dump the sandwich basis", cmd_basis, ("--algebra", "--format"),
+        (("--n", {"type": int, "required": True}),)),
+    "gamma": (
+        "Gamma coefficient tables", cmd_gamma, ("--algebra",) + _ENV_FLAGS,
+        (("--n", {"type": int, "required": True}),
+         ("--r", {"type": int}),
+         ("--method", {"choices": ("solver", "conjecture", "both"),
+                       "default": "both"}))),
+    "projector": (
+        "build and verify Q", cmd_projector, ("--algebra",) + _ENV_FLAGS,
+        (("--n", {"type": int, "required": True}),
+         ("--r", {"type": int}),
+         ("--method", {"choices": ("solver", "conjecture"),
+                       "default": "solver"}),
+         ("--verify", {"action": "store_true"}),
+         ("--oracle", {"action": "store_true"}))),
+    "central": (
+        "central element eigenvalue checks", cmd_central,
+        ("--seed", "--q-half", "--z"),
+        (("--n", {"type": int, "required": True}),
+         ("--d", {"type": int}),
+         ("--which", {"choices": ("F", "Fbar", "G", "H", "OmegaN"),
+                      "required": True}),
+         ("--k", {"help": "Chebyshev index for H (rational)"}))),
+    "selfcheck": (
+        "run the acceptance battery", cmd_selfcheck, ("--seed",),
+        (("--max-n", {"dest": "max_n", "type": int, "default": 4}),)),
+}
+_COMMAND_NAMES = tuple(_COMMANDS)
 
-    def error(self, message):
-        raise ValueError(message)
+
+def _flags(command) -> dict:
+    """A command's flags with their add_argument options, shared first."""
+    _, _, shared, own = _COMMANDS[command]
+    return {**{flag: _SHARED_FLAGS[flag] for flag in shared}, **dict(own)}
 
 
-# the subcommands, in the order build_parser adds them
-_COMMAND_NAMES = ("dims", "basis", "gamma", "projector", "central",
-                  "selfcheck")
+def build_parser(command=None):
+    """The utl argparse parser; given a command's name, it holds that
+    subcommand alone, which parses and reports that command's argv as the
+    whole parser does."""
+    # imported here alone: with locale, which its messages pull in, it is
+    # about 1 ms that a well-formed command line never needs
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        """Reports a malformed command line like any other invalid input: a
+        JSON error on stderr and exit 3, not a usage message."""
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The utl parser; given a command's name, it holds that subcommand
-    alone, which parses and reports that command's argv as the whole
-    parser does."""
+        def error(self, message):
+            raise ValueError(message)
+
     p = _Parser(
         prog="utl",
         description="uncoiled Temperley-Lieb algebras: enumeration, "
                     "projectors, verification")
     sub = p.add_subparsers(dest="command", required=True)
-    # the flags several subcommands share, each given only to those that
-    # read it
-    shared = {
-        "--algebra": {"choices": sorted(ALGEBRA_NAMES), "required": True},
-        "--seed": {"type": int, "default": 0},
-        "--q-half": {"dest": "q_half", "metavar": "P/Q"},
-        "--alpha": {"metavar": "P/Q"},
-        "--gamma": {"metavar": "P/Q"},
-        "--gamma-root": {"dest": "gamma_root", "metavar": "P/Q",
-                         "help": "omega; sets gamma = omega^n"},
-        "--z": {"metavar": "P/Q"},
-        "--format": {"choices": ("json", "art"), "default": "json"},
-    }
-    env_flags = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
-                 "--z")
-    # name -> (help, handler, shared flags, own flags with their options)
-    commands = {
-        "dims": (
-            "closed-form vs enumerated dimensions", cmd_dims, ("--algebra",),
-            (("--n", {"type": int}),
-             ("--max-n", {"dest": "max_n", "type": int, "default": 10}),
-             ("--enumerate", {"action": "store_true"}))),
-        "basis": (
-            "dump the sandwich basis", cmd_basis, ("--algebra", "--format"),
-            (("--n", {"type": int, "required": True}),)),
-        "gamma": (
-            "Gamma coefficient tables", cmd_gamma, ("--algebra",) + env_flags,
-            (("--n", {"type": int, "required": True}),
-             ("--r", {"type": int}),
-             ("--method", {"choices": ("solver", "conjecture", "both"),
-                           "default": "both"}))),
-        "projector": (
-            "build and verify Q", cmd_projector, ("--algebra",) + env_flags,
-            (("--n", {"type": int, "required": True}),
-             ("--r", {"type": int}),
-             ("--method", {"choices": ("solver", "conjecture"),
-                           "default": "solver"}),
-             ("--verify", {"action": "store_true"}),
-             ("--oracle", {"action": "store_true"}))),
-        "central": (
-            "central element eigenvalue checks", cmd_central,
-            ("--seed", "--q-half", "--z"),
-            (("--n", {"type": int, "required": True}),
-             ("--d", {"type": int}),
-             ("--which", {"choices": ("F", "Fbar", "G", "H", "OmegaN"),
-                          "required": True}),
-             ("--k", {"help": "Chebyshev index for H (rational)"}))),
-        "selfcheck": (
-            "run the acceptance battery", cmd_selfcheck, ("--seed",),
-            (("--max-n", {"dest": "max_n", "type": int, "default": 4}),)),
-    }
-    for name, (help_, func, flags, own) in commands.items():
+    for name, (help_, func, _, _) in _COMMANDS.items():
         if command not in (None, name):
             continue
         sp = sub.add_parser(name, help=help_)
-        for flag in flags:
-            sp.add_argument(flag, **shared[flag])
-        for flag, options in own:
+        for flag, options in _flags(name).items():
             sp.add_argument(flag, **options)
         sp.set_defaults(func=func)
     return p
 
 
 @cache
-def _parser(command=None) -> argparse.ArgumentParser:
+def _parser(command=None):
     """The parser of this process for a command (every command for None),
     built on its first use."""
     return build_parser(command)
+
+
+def _parse_direct(argv):
+    """The attributes parse_args sets for a well-formed command line, read
+    from the flag table; None for any other line, which argparse parses.
+
+    Well-formed: a command, then flags of that command, each at most once
+    and by its exact name, each but a store_true flag followed by a value
+    that does not start with "-", is of the flag's type and among its
+    choices, and every required flag given.  So help, abbreviations,
+    --flag=value, negative numbers and every error go to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = flags.get(flag)
+        if options is None or flag in given:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    attrs = {"command": argv[0], "func": _COMMANDS[argv[0]][1]}
+    for flag, options in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif options.get("required"):
+            return None
+        elif options.get("action") == "store_true":
+            value = False
+        else:
+            value = options.get("default")
+        attrs[options.get("dest", flag[2:].replace("-", "_"))] = value
+    return SimpleNamespace(**attrs)
 
 
 def run(argv=None) -> int:
@@ -337,7 +388,9 @@ def run(argv=None) -> int:
     # a command's own parser is a sixth of the whole one to build
     command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
     try:
-        args = _parser(command).parse_args(argv)
+        args = _parse_direct(argv)
+        if args is None:
+            args = _parser(command).parse_args(argv)
         code = args.func(args)
         if code == EXIT_VERIFY:
             print(json.dumps({"error": "verification failed",

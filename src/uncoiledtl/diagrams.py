@@ -38,7 +38,8 @@ class LinkState:
     input; the package builds its own states through ``_state``.
     """
 
-    __slots__ = ("n", "cover", "defects", "n_crossing", "_hash")
+    __slots__ = ("n", "cover", "defects", "n_crossing", "_hash", "_art",
+                 "_json")
 
     def __init__(self, nodes):
         nodes = list(nodes)
@@ -68,6 +69,8 @@ class LinkState:
         self.defects = tuple(i for i, x in enumerate(cover) if x is None)
         self.n_crossing = sum(1 for x in cover if x is not None and x < 0)
         self._hash = hash(cover)
+        # built on first use and kept: a basis shares few distinct states
+        self._art = self._json = None
 
     def _planar(self):
         """Noncrossing in the cover; no defect is overarched."""
@@ -116,14 +119,19 @@ class LinkState:
 
     def art(self) -> str:
         """One-character glyph per node: | defect, ( ) plain arc, < > seam arc."""
-        n = self.n
-        return "".join("|" if x is None else "<" if x < 0 else ">" if x >= n
-                       else "(" if x > i else ")"
-                       for i, x in enumerate(self.cover))
+        if self._art is None:
+            n = self.n
+            self._art = "".join("|" if x is None else "<" if x < 0
+                                else ">" if x >= n else "(" if x > i else ")"
+                                for i, x in enumerate(self.cover))
+        return self._art
 
     def to_json(self):
-        return [("D" if x is DEFECT else {"p": x[0], "seam": x[1]})
-                for x in self.nodes]
+        """The nodes as JSON; one list per state, shared by every caller."""
+        if self._json is None:
+            self._json = [("D" if x is DEFECT else {"p": x[0], "seam": x[1]})
+                          for x in self.nodes]
+        return self._json
 
     @staticmethod
     def from_json(entries):

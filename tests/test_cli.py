@@ -2,13 +2,14 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from uncoiledtl import cli, selfcheck
 from uncoiledtl.algebra import (AlgebraVariant, basis_enumerate,
@@ -316,6 +317,209 @@ def test_command_names_are_the_whole_parser_commands():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert tuple(sub.choices) == cli._COMMAND_NAMES
+
+
+def _argparse_attrs(argv):
+    """vars() of the Namespace argparse gives argv, or None where it
+    refuses the line or prints help."""
+    command = argv[0] if argv and argv[0] in cli._COMMAND_NAMES else None
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli._parser(command).parse_args(argv))
+    except (ValueError, SystemExit):
+        return None
+
+
+ODD_VALUES = ("-1", "-2.5", "x", "", "1/2", "nope", "07", "-", "--n")
+ODD_FORMS = ("absent", "odd value", "abbreviated", "equals", "twice", "bare")
+_ALL_FLAGS = sorted({flag for command in cli._COMMAND_NAMES
+                     for flag in cli._flags(command)})
+
+
+def _good_values(options):
+    if "choices" in options:
+        return tuple(options["choices"])
+    if options.get("type") is int:
+        return ("0", "3", "12")
+    return ("2", "1/2", "-3")
+
+
+@hst.composite
+def _command_lines(draw):
+    """A command (or none) and its flags, in any order: the required ones
+    given well and the others absent or given well, except up to two in an
+    odd form, maybe with one stray token."""
+    command = draw(hst.sampled_from(cli._COMMAND_NAMES + ("nope", "-h")))
+    flags = cli._flags(command if command in cli._COMMANDS else "gamma")
+    odd = draw(hst.lists(hst.sampled_from(list(flags)), max_size=2))
+    groups = []
+    for flag, options in flags.items():
+        value = [] if options.get("action") == "store_true" else [
+            draw(hst.sampled_from(_good_values(options)))]
+        if flag in odd:
+            forms = ODD_FORMS
+        elif options.get("required"):
+            forms = ("exact",)
+        else:
+            forms = ("absent", "exact")
+        form = draw(hst.sampled_from(forms))
+        groups.append({
+            "absent": [],
+            "exact": [flag] + value,
+            "odd value": [flag, draw(hst.sampled_from(ODD_VALUES))],
+            "abbreviated": [flag[:-1]] + value,
+            "equals": [f"{flag}={(value or ['1'])[0]}"],
+            "twice": ([flag] + value) * 2,
+            "bare": [flag]}[form])
+    stray = draw(hst.lists(hst.sampled_from(
+        ("-h", "--help", "--bogus", "--", "3") + tuple(_ALL_FLAGS)),
+        max_size=1))
+    return [command] + [token for group in draw(hst.permutations(groups))
+                        for token in group] + stray
+
+
+@given(_command_lines())
+@example(["selfcheck"])
+@example(["projector", "--algebra", "uatl", "--n", "3", "--verify",
+          "--oracle"])
+@example(["dims", "--algebra", "nope", "--n", "3"])
+@example(["central", "--n", "3", "--which", "X"])
+@example(["basis", "--algebra", "uatl", "--n", "x"])
+@example(["basis", "--algebra", "uatl"])
+@example(["projector", "--algebra", "uatl", "--n", "3", "--verify", "1"])
+@example(["gamma", "--algebra", "uatl", "--n", "3", "--seed", "-1"])
+@example(["central", "--n", "3", "--which", "F", "--k", "-x"])
+@example(["gamma", "--algebra", "uatl", "--n", "3", "--k", "1"])
+@example(["dims", "--algebra", "uatl", "--n", "3", "--n", "4"])
+@example(["dims", "--alg", "uatl", "--n", "3"])
+@example(["dims", "--algebra=uatl", "--n", "3"])
+@settings(max_examples=400, deadline=None)
+def test_direct_parse_sets_what_argparse_sets_or_declines(argv):
+    direct = cli._parse_direct(argv)
+    assert direct is None or vars(direct) == _argparse_attrs(argv), argv
+
+
+# Every README and CI command line, and one operation of each benchmark
+# shape: a well-formed line that argparse would parse costs about 2 ms of
+# a utl call (the two CI lines with --gamma-root -1 go to argparse, as
+# every negative value does).
+DIRECT_LINES = """\
+dims --algebra uatl --n 5 --enumerate
+basis --algebra uptl1 --n 4 --format art
+gamma --algebra uatl --n 9 --r 2 --method both --seed 3
+projector --algebra uptl1 --n 2 --verify --oracle --seed 7
+central --n 4 --which H --k 1/2
+selfcheck --max-n 4
+dims --algebra uatl --n 3
+dims --algebra uatl2 --n 4 --enumerate
+basis --algebra uatl --n 13
+gamma --algebra uptl --n 3 --r 0
+gamma --algebra uatl --n 3 --gamma 2 --gamma-root 3 --seed 1
+gamma --algebra uptl1 --n 4 --seed 1 --gamma 2
+gamma --algebra uptl --n 3 --gamma-root 2
+central --n 3 --which F --k 5
+central --n 3 --which F
+basis --algebra uatl2 --n 10 --format art
+basis --algebra uatl2 --n 10
+selfcheck --max-n 7 --seed 1
+gamma --method both --algebra uptl --n 21 --seed 1
+gamma --method both --algebra uatl --n 21 --seed 1
+gamma --method both --algebra uptl2 --n 20 --seed 1
+gamma --method both --algebra uatl --n 41 --seed 1
+gamma --method both --algebra uatl2 --n 40 --seed 1
+gamma --method both --algebra uptl1 --n 40 --seed 1
+gamma --method both --algebra uptl2 --n 40 --seed 1
+projector --verify --oracle --algebra uatl1 --n 6 --gamma-root 1 --r 0 --seed 1
+projector --verify --oracle --algebra uptl1 --n 6 --seed 1
+projector --verify --oracle --algebra uatl2 --n 6 --seed 1
+projector --verify --oracle --algebra uptl2 --n 6 --seed 1
+projector --verify --algebra uatl --n 7 --seed 1
+projector --verify --algebra uptl --n 7 --seed 1
+projector --verify --algebra uptl2 --n 8 --seed 1
+projector --verify --algebra uptl1 --n 8 --seed 1
+central --which F --n 8 --seed 1
+central --which Fbar --n 8 --seed 1
+central --which G --n 8 --seed 1
+central --which H --n 8 --k 3/2 --seed 1
+dims --enumerate --max-n 15 --algebra uatl
+dims --enumerate --max-n 16 --algebra uptl1
+dims --enumerate --max-n 16 --algebra uatl2
+dims --enumerate --max-n 16 --algebra uptl2
+dims --enumerate --max-n 18 --algebra uatl1
+dims --enumerate --max-n 17 --algebra uptl
+dims --enumerate --max-n 10 --algebra uatl1
+central --which F --n 7 --seed 493022
+central --which Fbar --n 3 --seed 17
+central --which H --n 6 --seed 8 --k 2
+gamma --method both --algebra uatl1 --n 20 --seed 5 --gamma-root 1 --r 0
+projector --verify --algebra uatl2 --n 6 --seed 902
+projector --verify --oracle --algebra uptl --n 3 --seed 41
+"""
+
+
+@pytest.mark.parametrize("line", DIRECT_LINES.splitlines())
+def test_canonical_command_lines_take_the_direct_parse(line):
+    argv = line.split()
+    direct = cli._parse_direct(argv)
+    assert direct is not None
+    assert vars(direct) == _argparse_attrs(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--algebra", "uatl", "--n", "3", "--enumerate"],
+    ["basis", "--algebra", "uptl1", "--n", "2", "--format", "art"],
+    ["gamma", "--algebra", "uatl", "--n", "3", "--seed", "1"],
+    ["projector", "--algebra", "uptl1", "--n", "2", "--verify", "--seed", "1"],
+    ["central", "--n", "3", "--which", "F", "--seed", "2"],
+    ["selfcheck", "--max-n", "2"],
+    ["gamma", "--algebra", "uptl", "--n", "3", "--r", "0"],
+    ["--help"], ["projector", "--help"], ["projector", "--bogus"],
+    ["gamma", "--algebra", "uatl", "--seed", "1"],
+    ["dims", "--algebra", "uatl", "--n", "x"],
+    ["central", "--n", "3", "--which", "X"]])
+def test_output_does_not_depend_on_the_parse_path(argv, monkeypatch):
+    got = _run_quiet(argv)
+    monkeypatch.setattr(cli, "_parse_direct", lambda argv: None)
+    assert _run_quiet(argv) == got
+
+
+GAMMA_HELP = """\
+usage: utl gamma [-h] --algebra {atl,ptl,tl,uatl,uatl1,uatl2,uptl,uptl1,uptl2}
+                 [--seed SEED] [--q-half P/Q] [--alpha P/Q] [--gamma P/Q]
+                 [--gamma-root P/Q] [--z P/Q] --n N [--r R]
+                 [--method {solver,conjecture,both}]
+
+options:
+  -h, --help            show this help message and exit
+  --algebra {atl,ptl,tl,uatl,uatl1,uatl2,uptl,uptl1,uptl2}
+  --seed SEED
+  --q-half P/Q
+  --alpha P/Q
+  --gamma P/Q
+  --gamma-root P/Q      omega; sets gamma = omega^n
+  --z P/Q
+  --n N
+  --r R
+  --method {solver,conjecture,both}
+"""
+
+
+def test_a_well_formed_call_loads_neither_argparse_nor_locale():
+    # argparse, with the locale module its messages import, is built for
+    # help and errors alone; help still reads as before
+    script = (
+        "import sys\n"
+        "from uncoiledtl.cli import run\n"
+        "codes = [run(['dims', '--algebra', 'uatl', '--n', '3']),\n"
+        "         run(['central', '--n', '3', '--which', 'F'])]\n"
+        "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)),\n"
+        "      file=sys.stderr)\n"
+        "sys.exit(run(['gamma', '--help']))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "COLUMNS": "80"})
+    assert (proc.returncode, proc.stderr) == (0, "[0, 0] []\n")
+    assert proc.stdout.endswith("}\n" + GAMMA_HELP)
 
 
 def _error_code(argv):
