@@ -235,7 +235,7 @@ class AlgebraElement:
             return
         if a.variant != b.variant:
             raise ValueError("variant mismatch")
-        if a.env != b.env:
+        if a.env.algebra_point != b.env.algebra_point:
             raise ValueError("parameter point mismatch")
 
     def coefficient(self, dia: Diagram):

@@ -11,6 +11,7 @@ Identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -25,8 +26,8 @@ from .projectors import (build_projector_Q, gamma_residuals,
                          projector_certificate)
 from .reps import (StandardModule, central_matrix, central_eigenvalue,
                    is_scalar_matrix)
-from .scalars import (AFFINE_KINDS, NonGenericParameterError, ParamEnv,
-                      sample_env, scalar_to_json, validate_env)
+from .scalars import (AFFINE_KINDS, STARRED_KINDS, NonGenericParameterError,
+                      ParamEnv, sample_env, scalar_to_json, validate_env)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -60,7 +61,20 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+# the env flags (by dest) that some kinds alone read, with those kinds; any
+# other kind refuses the flag, which it would drop
+_READ_BY = {"alpha": STARRED_KINDS,  # the kinds whose loops weigh alpha
+            "gamma": AFFINE_KINDS + ("upTL", "upTL2"),  # upTL1's turn is 1
+            "gamma_root": AFFINE_KINDS}  # the kinds with omega
+
+
 def _build_env(args, kind: str, n: int) -> ParamEnv:
+    for dest, kinds in _READ_BY.items():
+        if getattr(args, dest, None) and kind not in kinds:
+            raise ValueError(f"{kind} reads no --{dest.replace('_', '-')}")
+    if getattr(args, "gamma", None) and getattr(args, "gamma_root", None):
+        raise ValueError("--gamma-root sets gamma = omega^n: give it or "
+                         "--gamma, not both")
     env = sample_env(args.seed, kind, n)
     overrides = {}
     if getattr(args, "q_half", None):
@@ -68,17 +82,8 @@ def _build_env(args, kind: str, n: int) -> ParamEnv:
     if getattr(args, "alpha", None):
         overrides["alpha"] = _parse_rational(args.alpha)
     if getattr(args, "gamma", None):
-        if kind == "upTL1":
-            raise ValueError("upTL1's full turn weighs one: it reads no "
-                             "--gamma")
         overrides["gamma"] = _parse_rational(args.gamma)
     if getattr(args, "gamma_root", None):
-        if getattr(args, "gamma", None):
-            raise ValueError("--gamma-root sets gamma = omega^n: give it "
-                             "or --gamma, not both")
-        if kind not in AFFINE_KINDS:
-            raise ValueError(f"--gamma-root sets omega, which {kind} "
-                             "does not have")
         w = _parse_rational(args.gamma_root)
         overrides["omega"] = w
         overrides["gamma"] = w ** n
@@ -103,9 +108,12 @@ def _emit(doc) -> None:
 
 
 def cmd_dims(args) -> int:
+    if args.n is not None and args.max_n is not None:
+        raise ValueError("--max-n bounds a sweep: give it or --n, not both")
     kind = ALGEBRA_NAMES[args.algebra]
+    max_n = 10 if args.max_n is None else args.max_n
     out = {"algebra": args.algebra, "results": []}
-    ns = [args.n] if args.n is not None else range(1, args.max_n + 1)
+    ns = [args.n] if args.n is not None else range(1, max_n + 1)
     ok = True
     for n in ns:
         try:
@@ -123,7 +131,7 @@ def cmd_dims(args) -> int:
             ok = ok and row["match"]
         out["results"].append(row)
     if not out["results"]:  # an empty sweep would pass vacuously
-        raise ValueError(f"{kind} admits no size 1 <= n <= {args.max_n}")
+        raise ValueError(f"{kind} admits no size 1 <= n <= {max_n}")
     _emit(out)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -251,15 +259,14 @@ _SHARED_FLAGS = {
     "--z": {"metavar": "P/Q"},
     "--format": {"choices": ("json", "art"), "default": "json"},
 }
-_ENV_FLAGS = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
-              "--z")
+_ENV_FLAGS = ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root")
 # name -> (help, handler, shared flags, own flags with their options), in
 # the order build_parser adds them; both parsers read flags from here alone
 _COMMANDS = {
     "dims": (
         "closed-form vs enumerated dimensions", cmd_dims, ("--algebra",),
         (("--n", {"type": int}),
-         ("--max-n", {"dest": "max_n", "type": int, "default": 10}),
+         ("--max-n", {"dest": "max_n", "type": int}),
          ("--enumerate", {"action": "store_true"}))),
     "basis": (
         "dump the sandwich basis", cmd_basis, ("--algebra", "--format"),
@@ -291,6 +298,8 @@ _COMMANDS = {
         (("--max-n", {"dest": "max_n", "type": int, "default": 4}),)),
 }
 _COMMAND_NAMES = tuple(_COMMANDS)
+# argparse's negative-number test: a value to it, as no utl flag is one
+_negative = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
 def _flags(command) -> dict:
@@ -342,9 +351,9 @@ def _parse_direct(argv):
 
     Well-formed: a command, then flags of that command, each at most once
     and by its exact name, each but a store_true flag followed by a value
-    that does not start with "-", is of the flag's type and among its
-    choices, and every required flag given.  So help, abbreviations,
-    --flag=value, negative numbers and every error go to argparse."""
+    that is a negative number or does not start with "-", is of the flag's
+    type and among its choices, and every required flag given.  So help,
+    abbreviations, --flag=value and every error go to argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     flags = _flags(argv[0])
@@ -358,7 +367,7 @@ def _parse_direct(argv):
             given[flag] = True
             continue
         value = next(tokens, None)
-        if value is None or value.startswith("-"):
+        if value is None or value.startswith("-") and not _negative(value):
             return None
         if "type" in options:
             try:

@@ -99,8 +99,9 @@ def _rational(name: str, x):
 class ParamEnv(FrozenValue):
     """A concrete parameter point: backend, s, alpha, gamma, omega (None
     unless the variant is affine uncoiled), z and rng_seed, with q = s**2.
-    The backend's unit and zero are stored at construction, q and beta
-    derived once per instance; equality and hashing see the fields only."""
+    The backend's unit and zero and the algebra point (backend, s, alpha,
+    gamma) are stored at construction, q and beta derived once per
+    instance; equality and hashing see the fields only."""
 
     _fields = ("backend", "s", "alpha", "gamma", "omega", "z", "rng_seed")
 
@@ -118,7 +119,7 @@ class ParamEnv(FrozenValue):
             backend=backend, s=s, alpha=alpha, gamma=gamma, omega=omega, z=z,
             rng_seed=rng_seed,
             _key=(backend, s, alpha, gamma, omega, z, rng_seed),
-            one=one, zero=zero)
+            one=one, zero=zero, algebra_point=(backend, s, alpha, gamma))
 
     def replace(self, **changes) -> "ParamEnv":
         """A copy with the named fields changed, validated as a new

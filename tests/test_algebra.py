@@ -15,8 +15,8 @@ from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, e, identity,
                                  trace_interface)
 from uncoiledtl.projectors import (build_projector_Q, gamma_solve,
                                    wenzl_jones_P)
-from uncoiledtl.scalars import (ALL_KINDS, FLOAT_RTOL, UNCOILED_KINDS,
-                                sample_env)
+from uncoiledtl.scalars import (ALL_KINDS, FLOAT, FLOAT_RTOL,
+                                UNCOILED_KINDS, sample_env)
 
 D = DEFECT
 
@@ -209,6 +209,27 @@ def test_elements_of_two_parameter_points_refuse_to_mix():
     assert (a.one() + same.e(1)).equals(same.e(1) + a.one())
     # an explicit re-wrap moves the terms onto another algebra
     assert AlgebraElement(b, a.e(1).terms).equals(b.e(1))
+    # a product reads backend, s (beta), alpha and gamma of the env alone:
+    # a difference in omega, z or rng_seed mixes, and the sum or product
+    # carries its left operand's algebra
+    env = a.env
+    x = a.e(1) + a.omega()
+    for change in ({"omega": -env.omega}, {"z": env.z + 1},
+                   {"rng_seed": 99}):
+        other = Algebra(v, env.replace(**change))
+        y = other.e(2) + other.one()
+        y_at_a = AlgebraElement(a, y.terms)
+        assert (x * y).algebra is a and (y * x).algebra is other
+        assert (x * y).equals(x * y_at_a) and (y * x).equals(y_at_a * x)
+        assert (x + y).algebra is a and (x + y).equals(x + y_at_a)
+        assert y == y_at_a and x != y
+    for change in ({"backend": FLOAT}, {"s": env.s + 1},
+                   {"alpha": env.alpha + 1}, {"gamma": env.gamma + 1}):
+        y = Algebra(v, env.replace(**change)).e(1)
+        for combine in (lambda x, y: x * y, lambda x, y: x + y,
+                        lambda x, y: x.equals(y)):
+            with pytest.raises(ValueError, match="parameter point mismatch"):
+                combine(x, y)
 
 
 def test_max_terms_cap(monkeypatch):

@@ -401,8 +401,7 @@ def test_direct_parse_sets_what_argparse_sets_or_declines(argv):
 
 # Every README and CI command line, and one operation of each benchmark
 # shape: a well-formed line that argparse would parse costs about 2 ms of
-# a utl call (the two CI lines with --gamma-root -1 go to argparse, as
-# every negative value does).
+# a utl call.
 DIRECT_LINES = """\
 dims --algebra uatl --n 5 --enumerate
 basis --algebra uptl1 --n 4 --format art
@@ -429,7 +428,9 @@ gamma --method both --algebra uatl --n 41 --seed 1
 gamma --method both --algebra uatl2 --n 40 --seed 1
 gamma --method both --algebra uptl1 --n 40 --seed 1
 gamma --method both --algebra uptl2 --n 40 --seed 1
+gamma --method both --algebra uatl1 --n 20 --gamma-root -1 --r 10 --seed 1
 projector --verify --oracle --algebra uatl1 --n 6 --gamma-root 1 --r 0 --seed 1
+projector --verify --oracle --algebra uatl1 --n 6 --gamma-root -1 --r 3 --seed 1
 projector --verify --oracle --algebra uptl1 --n 6 --seed 1
 projector --verify --oracle --algebra uatl2 --n 6 --seed 1
 projector --verify --oracle --algebra uptl2 --n 6 --seed 1
@@ -486,7 +487,7 @@ def test_output_does_not_depend_on_the_parse_path(argv, monkeypatch):
 GAMMA_HELP = """\
 usage: utl gamma [-h] --algebra {atl,ptl,tl,uatl,uatl1,uatl2,uptl,uptl1,uptl2}
                  [--seed SEED] [--q-half P/Q] [--alpha P/Q] [--gamma P/Q]
-                 [--gamma-root P/Q] [--z P/Q] --n N [--r R]
+                 [--gamma-root P/Q] --n N [--r R]
                  [--method {solver,conjecture,both}]
 
 options:
@@ -497,7 +498,6 @@ options:
   --alpha P/Q
   --gamma P/Q
   --gamma-root P/Q      omega; sets gamma = omega^n
-  --z P/Q
   --n N
   --r R
   --method {solver,conjecture,both}
@@ -561,12 +561,13 @@ def test_a_singular_oracle_system_is_a_failed_check(singular_oracle,
 SUBCOMMAND_FLAGS = {
     "dims": (["dims", "--algebra", "uatl", "--n", "5"], ()),
     "basis": (["basis", "--algebra", "uatl", "--n", "3"], ("--format",)),
-    "gamma": (["gamma", "--algebra", "uatl", "--n", "3"],
-              ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root",
-               "--z")),
-    "projector": (["projector", "--algebra", "uatl", "--n", "3"],
+    "gamma": (["gamma", "--algebra", "uatl1", "--n", "2", "--seed", "1",
+               "--r", "0"],
+              ("--seed", "--q-half", "--alpha", "--gamma", "--gamma-root")),
+    "projector": (["projector", "--algebra", "uatl1", "--n", "2", "--seed",
+                   "1", "--r", "0"],
                   ("--seed", "--q-half", "--alpha", "--gamma",
-                   "--gamma-root", "--z")),
+                   "--gamma-root")),
     "central": (["central", "--n", "3", "--which", "F"],
                 ("--seed", "--q-half", "--z")),
     "selfcheck": (["selfcheck", "--max-n", "2"], ("--seed",)),
@@ -580,9 +581,9 @@ DROPPED_FLAGS = [(command, flag)
 
 
 def test_each_subcommand_keeps_the_shared_flags_it_reads():
-    assert len(DROPPED_FLAGS) == 25
+    assert len(DROPPED_FLAGS) == 27
     # the flags a subcommand reads still parse (--gamma 5 is no omega^n of
-    # uaTL, a non-generic point: exit 2)
+    # uaTL1, a non-generic point: exit 2)
     for base, kept in SUBCOMMAND_FLAGS.values():
         assert _run_quiet(base)[0] == 0
         for flag in kept:
@@ -627,6 +628,35 @@ def test_gamma_root_of_a_kind_without_omega_is_invalid_input(algebra, n):
                          "--gamma-root", "2"])
 
 
+@pytest.mark.parametrize("algebra, n", [("uatl", "3"), ("uptl", "3"),
+                                        ("uatl2", "4"), ("uptl2", "4")])
+@pytest.mark.parametrize("command", ["gamma", "projector"])
+def test_alpha_of_a_kind_whose_loops_weigh_no_alpha_is_invalid_input(
+        command, algebra, n):
+    # only the starred kinds weigh a loop by alpha; the others would drop it
+    _assert_refused([command, "--algebra", algebra, "--n", n, "--seed", "1",
+                     "--alpha", "3"])
+
+
+@pytest.mark.parametrize("command", ["gamma", "projector"])
+@pytest.mark.parametrize("algebra, r", [("uatl1", ["--r", "0"]),
+                                        ("uptl1", [])])
+def test_starred_kinds_read_alpha(command, algebra, r):
+    code, out, err = _run_quiet([command, "--algebra", algebra, "--n", "2",
+                                 "--seed", "1", "--alpha", "7/3"] + r)
+    assert code == 0, err
+    assert json.loads(out)["env"]["alpha"] == "7/3"
+
+
+def test_dims_max_n_with_n_is_invalid_input():
+    # --n is the one size, so a --max-n beside it would be dropped
+    _assert_refused(["dims", "--algebra", "uatl", "--n", "3",
+                     "--max-n", "7"])
+    code, out, _ = _run_quiet(["dims", "--algebra", "uatl", "--max-n", "7"])
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["results"]] == [1, 3, 5, 7]
+
+
 @pytest.mark.parametrize("which", ["F", "Fbar", "G", "OmegaN"])
 def test_central_k_without_H_is_invalid_input(which):
     # --k is the index of H alone; the other elements would ignore it
@@ -634,7 +664,7 @@ def test_central_k_without_H_is_invalid_input(which):
 
 
 def test_zero_denominator_is_invalid_input():
-    assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
+    assert _error_code(["central", "--n", "3", "--which", "F",
                         "--z", "1/0"]) == 3
     assert _error_code(["central", "--n", "3", "--which", "H",
                         "--k", "1/0"]) == 3
@@ -645,9 +675,9 @@ def test_zero_twist_is_nongeneric():
                         "--gamma", "0"]) == 2
     assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
                         "--gamma-root", "0"]) == 2
-    # the module twist z too, whichever command reads it
+    # the module twist z too, which central alone reads
     assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
-                        "--z", "0"]) == 2
+                        "--z", "0"]) == 3
     assert _error_code(["central", "--n", "3", "--which", "F",
                         "--z", "0"]) == 2
 
@@ -672,15 +702,14 @@ def test_periodic_sector_label_is_invalid(algebra, n):
 
 def test_huge_decimal_exponent_is_invalid_input():
     # Fraction("1e-100000000") would build 10**100000000
-    for flag in ("--z", "--alpha"):
+    central_z = ["central", "--n", "3", "--which", "F", "--z"]
+    for argv in (central_z, ["gamma", "--algebra", "uatl1", "--n", "2",
+                             "--r", "0", "--alpha"]):
         t0 = time.perf_counter()
-        assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
-                            flag, "1e-100000000"]) == 3
+        assert _error_code(argv + ["1e-100000000"]) == 3
         assert time.perf_counter() - t0 < 1
-    assert _error_code(["gamma", "--algebra", "uatl", "--n", "3",
-                        "--z", "1E+4301"]) == 3
-    assert run(["gamma", "--algebra", "uatl", "--n", "3",
-                "--z", "25e-1"]) == 0
+    assert _error_code(central_z + ["1E+4301"]) == 3
+    assert run(central_z + ["25e-1"]) == 0
 
 
 def test_uatl1_needs_a_unit_full_turn():

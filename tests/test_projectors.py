@@ -848,6 +848,22 @@ def test_uatl1_int_omega_gives_an_exact_verified_projector():
     assert projector_certificate(v, 4, 0, env)["verified"]
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("kind", ["uaTL1", "uaTL2"])
+def test_rational_sector_projectors_are_orthogonal(kind, n):
+    # omega and -omega give one gamma = omega^n at even n, so one algebra
+    # point: the two sector projectors multiply as they are (for uaTL1,
+    # omega = 1 and -1 are the sectors r = 0 and r = n/2)
+    v = AlgebraVariant(kind, n)
+    base = sample_env(1, kind, n)
+    w = 1 if kind == "uaTL1" else base.omega
+    envs = (base.with_omega(w, n), base.with_omega(-w, n))
+    q, q_neg = (build_projector_Q(gamma_solve(v, n, sector_of(kind, e, n), e))
+                for e in envs)
+    assert q.terms and q_neg.terms
+    assert (q * q_neg).is_zero() and (q_neg * q).is_zero()
+
+
 def test_gamma_table_serialization():
     env = sample_env(5, "upTL", 3)
     t = gamma_solve(AlgebraVariant("upTL", 3), 3, None, env)
