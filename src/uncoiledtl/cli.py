@@ -66,32 +66,30 @@ def _parse_rational(text: str) -> Fraction:
 _READ_BY = {"alpha": STARRED_KINDS,  # the kinds whose loops weigh alpha
             "gamma": AFFINE_KINDS + ("upTL", "upTL2"),  # upTL1's turn is 1
             "gamma_root": AFFINE_KINDS}  # the kinds with omega
+# the ParamEnv field each rational env flag (by dest) sets; --gamma-root
+# sets gamma = omega^n as well
+_ENV_FIELDS = {"q_half": "s", "alpha": "alpha", "gamma": "gamma",
+               "gamma_root": "omega", "z": "z"}
 
 
 def _build_env(args, kind: str, n: int) -> ParamEnv:
+    given = {dest: text for dest in _ENV_FIELDS
+             if (text := getattr(args, dest, None)) is not None}
     for dest, kinds in _READ_BY.items():
-        if getattr(args, dest, None) and kind not in kinds:
+        if dest in given and kind not in kinds:
             raise ValueError(f"{kind} reads no --{dest.replace('_', '-')}")
-    if getattr(args, "gamma", None) and getattr(args, "gamma_root", None):
+    if "gamma" in given and "gamma_root" in given:
         raise ValueError("--gamma-root sets gamma = omega^n: give it or "
                          "--gamma, not both")
     env = sample_env(args.seed, kind, n)
-    overrides = {}
-    if getattr(args, "q_half", None):
-        overrides["s"] = _parse_rational(args.q_half)
-    if getattr(args, "alpha", None):
-        overrides["alpha"] = _parse_rational(args.alpha)
-    if getattr(args, "gamma", None):
-        overrides["gamma"] = _parse_rational(args.gamma)
-    if getattr(args, "gamma_root", None):
-        w = _parse_rational(args.gamma_root)
-        overrides["omega"] = w
-        overrides["gamma"] = w ** n
-    if getattr(args, "z", None):
-        overrides["z"] = _parse_rational(args.z)
-    if overrides:
-        env = env.replace(**overrides)
-        validate_env(env, kind, n)
+    if not given:
+        return env
+    overrides = {_ENV_FIELDS[dest]: _parse_rational(text)
+                 for dest, text in given.items()}
+    if "gamma_root" in given:
+        overrides["gamma"] = overrides["omega"] ** n
+    env = env.replace(**overrides)
+    validate_env(env, kind, n)
     return env
 
 
@@ -220,7 +218,7 @@ def cmd_central(args) -> int:
         ds = list(range(n % 2, n + 1, 2))
     else:
         ds = [args.d]
-    k = _parse_rational(args.k) if args.k else None
+    k = None if args.k is None else _parse_rational(args.k)
     results = []
     ok = True
     for d in ds:

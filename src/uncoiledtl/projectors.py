@@ -39,9 +39,10 @@ from . import diagrams, linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant, _reduce_mid,
                       basis_enumerate, is_idempotent, reduce)
 from .diagrams import Diagram, cup_state, identity as id_diagram
-from .scalars import (AFFINE_KINDS, EXACT, ParamEnv, QLadder, STARRED_KINDS,
-                      UNCOILED_KINDS, gamma_hat, over_common_denominator,
-                      qladder, qnum, ratio, split, validate_env)
+from .scalars import (AFFINE_KINDS, EXACT, NonGenericParameterError,
+                      ParamEnv, QLadder, STARRED_KINDS, UNCOILED_KINDS,
+                      gamma_hat, over_common_denominator, qladder, qnum,
+                      ratio, split, validate_env)
 
 
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
@@ -272,25 +273,27 @@ class GammaTable:
 
 
 def sector_of(kind: str, env, n: int):
-    """The r label realized by an exact env's omega: for uaTL1, omega in
-    {1, -1} realizes exactly the sectors r = 0 and r = n/2."""
-    if kind == "uaTL1":
-        return 0 if env.omega == 1 else n // 2
-    return 0 if kind in AFFINE_KINDS else None
+    """The label r of an exact env's omega = gamma^(1/n) e^(2 pi i r/n),
+    with the principal root: 0 for omega > 0, n // 2 for omega < 0 (for n
+    odd, -|gamma|^(1/n) is the principal root of gamma < 0 times
+    e^(2 pi i (n - 1)/(2n))); None for a kind without omega."""
+    return (0 if env.omega > 0 else n // 2) if kind in AFFINE_KINDS else None
 
 
 def check_sector(variant: AlgebraVariant, r, env: ParamEnv) -> None:
     """Reject a sector label for a kind without sectors, an affine one
-    outside 0..n-1, and for uaTL1 over exact rationals one that
-    ``sector_of`` does not realize."""
+    outside 0..n-1, and over exact rationals one that ``sector_of`` does
+    not realize: the Gamma formulas read omega, and r only names it."""
     if r is None:
         return
     if variant.kind not in AFFINE_KINDS:
         raise ValueError(f"{variant.kind} has no sector label r")
     if not 0 <= r < variant.n:
         raise ValueError(f"sector r={r} outside 0..{variant.n - 1}")
-    if variant.kind != "uaTL1" or env.backend != EXACT:
+    if env.backend != EXACT:
         return
+    if env.omega is None:
+        raise NonGenericParameterError("affine variant needs omega")
     want = sector_of(variant.kind, env, variant.n)
     if r != want:
         raise ValueError(
@@ -298,7 +301,7 @@ def check_sector(variant: AlgebraVariant, r, env: ParamEnv) -> None:
             f"(exact backend realizes r={want})")
 
 
-def gamma_initial(variant: AlgebraVariant, r, env: ParamEnv, k0_l2: int):
+def gamma_initial(variant: AlgebraVariant, env: ParamEnv, k0_l2: int):
     """Gamma_{0, l}: delta_{l,0} (periodic) or omega^{-2l}/n (affine)."""
     if variant.kind in AFFINE_KINDS:
         return env.omega ** (-k0_l2) / variant.n
@@ -472,7 +475,7 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
     gh = gamma_hat(kind, env)
     for (k, l2) in gamma_grid(variant):
         if k == 0:
-            tbl.entries[(0, l2)] = gamma_initial(variant, r, env, l2)
+            tbl.entries[(0, l2)] = gamma_initial(variant, env, l2)
     gn, gd = split(gh)
     layers = _folded_layers(variant, env)
     scattered = []
@@ -534,13 +537,15 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
 # -- conjectured closed forms ---------------------------------------------------
 
 def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
-                     r=None, env: ParamEnv | None = None):
+                     env: ParamEnv):
     """The closed triple-sum formulas for Gamma_{k, l}."""
     _check_size(variant, n)
-    if env is None:
-        raise ValueError("an environment is required")
     ladder = qladder(2 * n + 2 + abs(ell2), env)
-    return _conjecture_layer(variant, n, k, r, env, ladder)(ell2)
+    try:
+        return _conjecture_layer(variant, n, k, env, ladder)(ell2)
+    except ZeroDivisionError:  # as in gamma_table_conjecture
+        raise NonGenericParameterError(f"guarded denominator vanishes for "
+                                       f"{variant.kind}, n={n}") from None
 
 
 def _rising_over_factorial(ladder: QLadder, start: int, count: int) -> list:
@@ -555,7 +560,7 @@ def _rising_over_factorial(ladder: QLadder, start: int, count: int) -> list:
     return out
 
 
-def _conjecture_layer(variant, n, k, r, env, ladder: QLadder):
+def _conjecture_layer(variant, n, k, env, ladder: QLadder):
     """ell2 -> gamma_conjecture of layer k, with every q-number read from
     ``ladder`` ([2n + 2] covers the grid, [2n + 2 + |ell2|] any ell2) and
     every factor that does not depend on ell2 computed once for the layer."""
@@ -563,9 +568,9 @@ def _conjecture_layer(variant, n, k, r, env, ladder: QLadder):
     q = env.q
     num, fact = ladder.num, ladder.fact
     if k == 0:
-        return lambda ell2: gamma_initial(variant, r, env, ell2)
+        return lambda ell2: gamma_initial(variant, env, ell2)
     if 2 * k == n and kind in STARRED_KINDS:
-        return lambda ell2: _starred_conjecture(kind, n, r, env, ladder, ell2)
+        return lambda ell2: _starred_conjecture(kind, n, env, ladder, ell2)
     mk2 = n - 2 * k
     pref = 1 / ((q - 1 / q) ** (2 * k - 1) * num[k] * fact[k - 1] ** 2)
     # One triple sum for every kind.  They differ in the twist of den and
@@ -654,8 +659,9 @@ def _conjecture_layer(variant, n, k, r, env, ladder: QLadder):
     return entry
 
 
-def _starred_conjecture(kind, n, r, env, ladder: QLadder, ell2):
-    """The starred coefficient Gamma_{n/2, 0}."""
+def _starred_conjecture(kind, n, env, ladder: QLadder, ell2):
+    """The starred coefficient Gamma_{n/2, 0}; for uaTL1, 0 unless omega
+    is 1 (r = 0) or -1 (r = n/2)."""
     if ell2 != 0:
         raise ValueError("the k = n/2 coefficient only exists at l = 0")
     q = env.q
@@ -664,11 +670,9 @@ def _starred_conjecture(kind, n, r, env, ladder: QLadder, ell2):
     if kind == "upTL1":
         return -full * half / (base * (env.alpha ** 2 * half ** 2
                                        - full ** 2))
-    if r is None:
-        raise ValueError("uaTL1 needs the sector label r")
-    if r == 0:
+    if env.eq(env.omega, 1):
         return -half / (2 * base * (env.alpha * half - full))
-    if r == n // 2:
+    if env.eq(env.omega, -1):
         return half / (2 * base * (env.alpha * half + full))
     return 0
 
@@ -679,10 +683,14 @@ def gamma_table_conjecture(variant: AlgebraVariant, n: int, r=None,
     check_sector(variant, r, env)
     tbl = GammaTable(variant, n, r, env)
     ladder = qladder(2 * n + 2, env)
-    for k, keys in groupby(gamma_grid(variant), key=itemgetter(0)):
-        entry = _conjecture_layer(variant, n, k, r, env, ladder)
-        for _, l2 in keys:
-            tbl.entries[(k, l2)] = entry(l2)
+    try:
+        for k, keys in groupby(gamma_grid(variant), key=itemgetter(0)):
+            entry = _conjecture_layer(variant, n, k, env, ladder)
+            for _, l2 in keys:
+                tbl.entries[(k, l2)] = entry(l2)
+    except ZeroDivisionError:  # every denominator here is a guard value
+        raise NonGenericParameterError(f"guarded denominator vanishes for "
+                                       f"{variant.kind}, n={n}") from None
     return tbl
 
 
@@ -757,8 +765,8 @@ def _annihilator_rows(alg: Algebra, basis) -> list:
     return rows
 
 
-def projector_oracle(variant: AlgebraVariant, n: int, r=None,
-                     env: ParamEnv | None = None) -> AlgebraElement:
+def projector_oracle(variant: AlgebraVariant, n: int,
+                     env: ParamEnv) -> AlgebraElement:
     """Solve the annihilation conditions over the full sandwich basis.
 
     The nullspace of {e_j X = X e_j = 0 for all j} (plus Omega X = omega X
@@ -808,7 +816,7 @@ def _first_nonzero(named_elements):
                  if not x.is_zero()), None)
 
 
-def projector_checks(q: AlgebraElement, r, with_oracle: bool) -> dict:
+def projector_checks(q: AlgebraElement, with_oracle: bool) -> dict:
     """The checks of a projector Q, each mapped to None when it holds and
     otherwise to its first witness: Q^2 = Q, e_j Q = Q e_j = 0 for every j,
     Omega Q = Q Omega = omega Q for the affine kinds, and (with_oracle) Q
@@ -827,7 +835,7 @@ def projector_checks(q: AlgebraElement, r, with_oracle: bool) -> dict:
              ("Q Omega - omega Q", q * om - wq)))
     if with_oracle:
         try:
-            oracle = projector_oracle(variant, n, r, env)
+            oracle = projector_oracle(variant, n, env)
         except linalg.SingularSystemError as exc:
             # valid input whose check failed: exit 1, not invalid input
             checks["matches_oracle"] = f"oracle: {exc}"
@@ -844,7 +852,7 @@ def projector_certificate(variant: AlgebraVariant, n: int, r, env: ParamEnv,
     tbl = gamma_table(variant, n, r, env, method)
     q = build_projector_Q(tbl)
     checks = {name: witness is None for name, witness
-              in projector_checks(q, r, with_oracle).items()}
+              in projector_checks(q, with_oracle).items()}
     res = gamma_residuals(tbl)
     checks["recurrence_residual_zero"] = all(
         env.is_zero(v) for v in res.values())

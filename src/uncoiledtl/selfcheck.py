@@ -183,7 +183,7 @@ def check_projectors(periodic_max_n: int, affine_max_n: int,
             env = sample_env(seed, kind, n)
             r = sector_of(kind, env, n)
             q = build_projector_Q(gamma_table(v, n, r, env, "solver"))
-            checks = projector_checks(q, r, n <= oracle_max_n)
+            checks = projector_checks(q, n <= oracle_max_n)
             witness = next((w for w in checks.values() if w), None)
             if witness:
                 return ("projectors", False, f"{witness}, {kind} n={n}")

@@ -111,25 +111,25 @@ def test_criterion_06_projector_verification():
     # displayed coefficients, reproduced exactly under substitution
     env = sample_env(5, "upTL1", 2)
     b = env.beta
-    assert gamma_conjecture(AlgebraVariant("upTL1", 2), 2, 1, 0, None, env) \
+    assert gamma_conjecture(AlgebraVariant("upTL1", 2), 2, 1, 0, env) \
         == b / (env.alpha ** 2 - b ** 2)
     env = sample_env(5, "upTL", 3)
     b, g = env.beta, env.gamma
-    assert gamma_conjecture(AlgebraVariant("upTL", 3), 3, 1, 0, None, env) \
+    assert gamma_conjecture(AlgebraVariant("upTL", 3), 3, 1, 0, env) \
         == -(b ** 2 - 1) / (g ** 2 + g ** -2 + b * (b ** 2 - 3))
     env = sample_env(5, "upTL1", 4)
     b = env.beta
-    assert gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 1, 0, None, env) \
+    assert gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 1, 0, env) \
         == -(b ** 2 - 2) / (b * (b ** 2 - 4))
-    assert gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 2, 0, None, env) \
+    assert gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 2, 0, env) \
         == -((b ** 2 - 2) / (b ** 2 - 4)) / (env.alpha ** 2 - (b ** 2 - 2) ** 2)
     env = sample_env(5, "upTL2", 4)
     b, g = env.beta, env.gamma
-    assert gamma_conjecture(AlgebraVariant("upTL2", 4), 4, 1, 0, None, env) \
+    assert gamma_conjecture(AlgebraVariant("upTL2", 4), 4, 1, 0, env) \
         == b * (b ** 2 - 2) / (g + 1 / g - b ** 4 + 4 * b ** 2 - 2)
     env = sample_env(5, "uaTL", 3)
     w, b = env.omega, env.beta
-    assert gamma_conjecture(AlgebraVariant("uaTL", 3), 3, 1, 0, 0, env) \
+    assert gamma_conjecture(AlgebraVariant("uaTL", 3), 3, 1, 0, env) \
         == -1 / (3 * (w ** 2 + w ** -2 + b))
     dt = time.time() - t0
     assert dt < 600, f"projector verification took {dt:.1f}s"

@@ -114,7 +114,7 @@ def test_basis_past_the_default_cap_is_refused_before_building(capsys):
 
 def test_gamma_both_methods(capsys):
     code, out = capture(capsys, ["gamma", "--algebra", "uatl", "--n", "9",
-                                 "--r", "2", "--seed", "3",
+                                 "--r", "0", "--seed", "3",
                                  "--method", "both"])
     assert code == 0
     doc = json.loads(out)
@@ -405,7 +405,7 @@ def test_direct_parse_sets_what_argparse_sets_or_declines(argv):
 DIRECT_LINES = """\
 dims --algebra uatl --n 5 --enumerate
 basis --algebra uptl1 --n 4 --format art
-gamma --algebra uatl --n 9 --r 2 --method both --seed 3
+gamma --algebra uatl --n 9 --r 0 --method both --seed 3
 projector --algebra uptl1 --n 2 --verify --oracle --seed 7
 central --n 4 --which H --k 1/2
 selfcheck --max-n 4
@@ -698,6 +698,56 @@ def test_periodic_sector_label_is_invalid(algebra, n):
                             "--r", r]) == 3
         assert _error_code(["projector", "--algebra", algebra, "--n", n,
                             "--verify", "--r", r]) == 3
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["projector", "--verify"]])
+@pytest.mark.parametrize("algebra, n, root, realized", [
+    ("uatl", 3, [], 0), ("uatl", 3, ["--gamma-root", "-2"], 1),
+    ("uatl2", 4, [], 0), ("uatl2", 4, ["--gamma-root", "-2"], 2)])
+def test_affine_sector_label_must_name_the_root_omega_is(command, algebra, n,
+                                                         root, realized):
+    # the sampled omega is positive, r = 0; a negative one is r = n // 2;
+    # every other label would print a table that is not its sector's
+    base = command + ["--algebra", algebra, "--n", str(n), "--seed", "1"]
+    for r in range(n):
+        code, out, err = _run_quiet(base + root + ["--r", str(r)])
+        if r == realized:
+            assert code == 0, err
+            assert json.loads(out)["r"] == r
+        else:
+            assert (code, out) == (3, ""), r
+            assert "inconsistent with omega" in json.loads(err)["detail"]
+
+
+def test_uatl1_closed_form_needs_no_sector_label():
+    # omega = -1 is r = n/2; the label, given or not, is only printed
+    base = ["gamma", "--algebra", "uatl1", "--n", "4", "--seed", "1",
+            "--gamma-root", "-1"]
+    docs = []
+    for r in ([], ["--r", "2"]):
+        code, out, err = _run_quiet(base + r)
+        assert code == 0, err
+        docs.append(json.loads(out))
+    assert [doc["r"] for doc in docs] == [None, 2]
+    assert docs[0]["match"] is True
+    assert docs[0]["conjecture"]["entries"] == docs[1]["conjecture"]["entries"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--algebra", "uatl", "--n", "3", "--q-half", ""],
+    ["gamma", "--algebra", "uatl", "--n", "3", "--alpha", ""],
+    ["projector", "--algebra", "uatl1", "--n", "2", "--alpha", ""],
+    ["gamma", "--algebra", "uptl", "--n", "3", "--gamma", ""],
+    ["projector", "--algebra", "uatl", "--n", "3", "--gamma-root", ""],
+    ["gamma", "--algebra", "uatl", "--n", "3", "--gamma", "",
+     "--gamma-root", "3"],
+    ["central", "--n", "3", "--which", "F", "--z", ""],
+    ["central", "--n", "3", "--which", "H", "--k", ""],
+])
+def test_an_empty_flag_value_is_invalid_input(argv):
+    # an empty value is given, not absent: the kind refuses it or it fails
+    # to parse as a rational
+    _assert_refused(argv)
 
 
 def test_huge_decimal_exponent_is_invalid_input():

@@ -23,9 +23,11 @@ from uncoiledtl.projectors import (GammaTable, _annihilator_rows,
                                    gamma_table_conjecture, kernel_J,
                                    projector_certificate, projector_oracle,
                                    wenzl_jones_P)
-from uncoiledtl.scalars import (AFFINE_KINDS, FLOAT_RTOL, STARRED_KINDS,
-                                UNCOILED_KINDS, gamma_hat, qbinom, qfact,
-                                qladder, qnum, sample_env)
+from uncoiledtl.scalars import (AFFINE_KINDS, EXACT, FLOAT_RTOL,
+                                STARRED_KINDS, UNCOILED_KINDS,
+                                NonGenericParameterError, ParamEnv,
+                                gamma_hat, qbinom, qfact, qladder, qnum,
+                                sample_env)
 from uncoiledtl.selfcheck import check_e0Z_grids, legal_sizes, sector_of
 
 from test_acceptance import _float_env_on_circle
@@ -183,26 +185,25 @@ def test_uptl_n3_displayed_value():
     beta, g = env.beta, env.gamma
     want = -(beta ** 2 - 1) / (g ** 2 + g ** -2 + beta * (beta ** 2 - 3))
     assert t.entries[(1, 0)] == want
-    assert gamma_conjecture(AlgebraVariant("upTL", 3), 3, 1, 0, None,
-                            env) == want
+    assert gamma_conjecture(AlgebraVariant("upTL", 3), 3, 1, 0, env) == want
 
 
 def test_q2_q4_displayed_coefficients():
     env = sample_env(5, "upTL1", 2)
     beta = env.beta
-    got = gamma_conjecture(AlgebraVariant("upTL1", 2), 2, 1, 0, None, env)
+    got = gamma_conjecture(AlgebraVariant("upTL1", 2), 2, 1, 0, env)
     assert got == beta / (env.alpha ** 2 - beta ** 2)
     env = sample_env(5, "upTL1", 4)
     beta = env.beta
-    got = gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 1, 0, None, env)
+    got = gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 1, 0, env)
     assert got == -(beta ** 2 - 2) / (beta * (beta ** 2 - 4))
-    got = gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 2, 0, None, env)
+    got = gamma_conjecture(AlgebraVariant("upTL1", 4), 4, 2, 0, env)
     want = -((beta ** 2 - 2) / (beta ** 2 - 4)) \
         / (env.alpha ** 2 - (beta ** 2 - 2) ** 2)
     assert got == want
     env = sample_env(5, "upTL2", 4)
     beta, g = env.beta, env.gamma
-    got = gamma_conjecture(AlgebraVariant("upTL2", 4), 4, 1, 0, None, env)
+    got = gamma_conjecture(AlgebraVariant("upTL2", 4), 4, 1, 0, env)
     want = beta * (beta ** 2 - 2) / (g + 1 / g - beta ** 4 + 4 * beta ** 2 - 2)
     assert got == want
 
@@ -210,7 +211,7 @@ def test_q2_q4_displayed_coefficients():
 def test_q3r_displayed_coefficient():
     env = sample_env(5, "uaTL", 3)
     w, beta = env.omega, env.beta
-    got = gamma_conjecture(AlgebraVariant("uaTL", 3), 3, 1, 0, 0, env)
+    got = gamma_conjecture(AlgebraVariant("uaTL", 3), 3, 1, 0, env)
     assert got == -1 / (3 * (w ** 2 + w ** -2 + beta))
 
 
@@ -253,7 +254,7 @@ def _gamma_conjecture_reference(variant, n, k, ell2, r, env):
     kind = variant.kind
     q = env.q
     if k == 0:
-        return gamma_initial(variant, r, env, ell2)
+        return gamma_initial(variant, env, ell2)
     if 2 * k == n and kind in STARRED_KINDS:
         half = qnum(n // 2, env)
         full = qnum(n, env)
@@ -323,7 +324,7 @@ def test_conjecture_matches_term_by_term_reference():
         for (k, l2) in gamma_grid(v):
             want = _gamma_conjecture_reference(v, n, k, l2, r, env)
             assert table.entries[(k, l2)] == want, (v.kind, n, k, l2)
-            assert gamma_conjecture(v, n, k, l2, r, env) == want
+            assert gamma_conjecture(v, n, k, l2, env) == want
             cases += 1
     assert cases > 1000
 
@@ -547,7 +548,7 @@ def _gamma_solve_reference(variant, n, r, env):
     num = qladder(2 * n + 2, env).num
     for (k, l2) in gamma_grid(variant):
         if k == 0:
-            tbl.entries[(0, l2)] = gamma_initial(variant, r, env, l2)
+            tbl.entries[(0, l2)] = gamma_initial(variant, env, l2)
     for k in range(1, (n - 1) // 2 + 1):
         mk2 = n - 2 * k
         rows = [_row_lower_part(tbl, num, n, k, l2) for l2 in range(mk2)]
@@ -666,7 +667,7 @@ def test_gamma_tables_refuse_another_size_than_the_variant():
         with pytest.raises(ValueError, match="n does not match the variant"):
             gamma_table_conjecture(v, n, 0, env)
         with pytest.raises(ValueError, match="n does not match the variant"):
-            gamma_conjecture(v, n, 1, 0, 0, env)
+            gamma_conjecture(v, n, 1, 0, env)
 
 
 def _gamma_grid_reference(variant):
@@ -756,6 +757,67 @@ def test_sector_label_consistency():
         gamma_solve(v, 4, (good + 1) % 4, env)
     with pytest.raises(ValueError):
         gamma_table_conjecture(v, 4, 3, env)
+
+
+@pytest.mark.parametrize("kind,n", [("uaTL", 3), ("uaTL", 5), ("uaTL2", 2),
+                                    ("uaTL2", 4), ("uaTL1", 2), ("uaTL1", 4)])
+def test_sector_of_names_the_root_of_omega(kind, n):
+    # omega = gamma^(1/n) e^(2 pi i r/n) with Python's principal root, as
+    # criterion 04 draws its points: omega > 0 is r = 0, -omega is r = n/2
+    # (for n odd, gamma < 0 and r = (n - 1)/2); every affine kind checks
+    # its label by this one rule
+    v = AlgebraVariant(kind, n)
+    base = sample_env(3, kind, n)
+    w = 1 if kind == "uaTL1" else base.omega
+    for env, want in ((base.with_omega(w, n), 0),
+                      (base.with_omega(-w, n), n // 2)):
+        assert sector_of(kind, env, n) == want
+        root = complex(env.gamma) ** (1 / n) \
+            * cmath.exp(2j * cmath.pi * want / n)
+        assert abs(complex(env.omega) - root) < 1e-9, (kind, n, want)
+        gamma_solve(v, n, want, env)
+        gamma_table_conjecture(v, n, want, env)
+        for r in set(range(n)) - {want}:
+            with pytest.raises(ValueError, match="inconsistent with omega"):
+                gamma_solve(v, n, r, env)
+            with pytest.raises(ValueError, match="inconsistent with omega"):
+                gamma_table_conjecture(v, n, r, env)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_uatl1_closed_form_reads_omega_without_a_label(n):
+    # the starred entry of uaTL1 follows omega = 1 or -1 alone
+    v = AlgebraVariant("uaTL1", n)
+    base = sample_env(2, "uaTL1", n)
+    for omega in (1, -1):
+        env = base.with_omega(omega, n)
+        r = sector_of("uaTL1", env, n)
+        assert gamma_table_conjecture(v, n, None, env).entries == \
+            gamma_table_conjecture(v, n, r, env).entries
+
+
+def test_a_sector_label_without_omega_is_a_typed_error():
+    v = AlgebraVariant("uaTL", 3)
+    env = sample_env(0, "uaTL", 3).replace(omega=None)
+    for table in (gamma_solve, gamma_table_conjecture):
+        with pytest.raises(NonGenericParameterError, match="needs omega"):
+            table(v, 3, 0, env)
+
+
+def test_closed_forms_report_a_vanishing_guard_as_non_generic():
+    # omega^2 q = 1 at n = 3: a guard of uaTL's closed form vanishes, which
+    # the solver finds through validate_env and the closed forms by
+    # dividing by it
+    v = AlgebraVariant("uaTL", 3)
+    env = ParamEnv(EXACT, Fraction(2), Fraction(3), Fraction(1, 8),
+                   Fraction(1, 2), Fraction(3), 0)
+    assert env.omega ** 2 * env.q == 1
+    message = "guarded denominator vanishes for uaTL, n=3"
+    for build in (lambda: gamma_solve(v, 3, None, env),
+                  lambda: gamma_table_conjecture(v, 3, None, env),
+                  lambda: gamma_conjecture(v, 3, 1, 0, env)):
+        with pytest.raises(NonGenericParameterError, match=message):
+            build()
 
 
 def test_sandwich_Q_matches_the_sum_of_Z():
@@ -1001,7 +1063,7 @@ def test_oracle_equality_and_rank():
         v = AlgebraVariant(kind, n)
         r = sector_of(kind, env, n)
         q = build_projector_Q(gamma_solve(v, n, r, env))
-        assert projector_oracle(v, n, r, env).equals(q)
+        assert projector_oracle(v, n, env).equals(q)
 
 
 def _annihilator_rows_by_mul(alg, basis):
@@ -1063,14 +1125,14 @@ def test_oracle_past_dense_elimination(kind, n):
     v = AlgebraVariant(kind, n)
     r = sector_of(kind, env, n)
     q = build_projector_Q(gamma_solve(v, n, r, env))
-    assert projector_oracle(v, n, r, env).equals(q)
+    assert projector_oracle(v, n, env).equals(q)
 
 
 def test_a_singular_oracle_system_still_raises(singular_oracle):
     # projector_checks turns this into its matches_oracle witness
     singular_oracle("upTL", 3)
     with pytest.raises(SingularSystemError, match="dimension 0"):
-        projector_oracle(AlgebraVariant("upTL", 3), 3, None,
+        projector_oracle(AlgebraVariant("upTL", 3), 3,
                          sample_env(1, "upTL", 3))
 
 

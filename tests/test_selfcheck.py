@@ -87,10 +87,10 @@ def test_check_fails_on_a_fault_and_names_its_witness(monkeypatch, name):
 def test_projector_witness_names_the_generator_and_its_side():
     env = sample_env(0, "upTL", 3)
     alg = Algebra(AlgebraVariant("upTL", 3), env)
-    assert projector_checks(alg.one(), None, False) == \
+    assert projector_checks(alg.one(), False) == \
         {"idempotent": None, "annihilated": "e_0 Q != 0"}
     # e_0 (1 - e_1 e_0) = e_0 - e_0 e_1 e_0 = 0, but (1 - e_1 e_0) e_0 != 0
-    assert projector_checks(alg.one() - alg.e(1) * alg.e(0), None, False) == \
+    assert projector_checks(alg.one() - alg.e(1) * alg.e(0), False) == \
         {"idempotent": None, "annihilated": "Q e_0 != 0"}
 
 
