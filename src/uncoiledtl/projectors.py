@@ -7,7 +7,7 @@ convention, read by the table lookup, the grid and the solver alike.
 
 The coefficient recurrence is the transpose of the e_0 Z expansion: e_0 Q =
 sum Gamma_{k,l} e_0 Z_{k,l} = 0, with each e_0 Z_{k,l} expanded into X
-objects (``_e0Z_layer``, the one statement of the expansion, which
+objects (``_e0Z_layers``, the one statement of the expansion, which
 ``check_e0Z`` verifies in the algebra), and the coefficient of each
 X_{k,l} collected.  Within a layer k the recurrence is the discrete
 operator S + S^-1 - (q^n + q^-n) on the cycles l2 -> l2 + 2 of the
@@ -22,9 +22,13 @@ nothing but annihilation and normalization.
 The long sums of a table (the scatter, the ring sweeps and the closed
 forms' double sum) run on integer numerators over one denominator and build
 one Fraction per result, not one per step; a complex value is its own
-numerator over 1, so the float backend runs the same code.  The folded
-expansion is built once per parameter point (``_folded_layers``) and shared
-by the solver and the residual checker.
+numerator over 1, so the float backend runs the same code.  Their
+coefficients come from the integer q-number ladder (``scalars.qints``),
+[j] = N_j / u^(j-1): the e_0 Z coefficients are integers over one
+denominator shared by every layer, the rising q-number products of the
+closed forms q-binomials, integers over a power of u (``scalars.qbinomials``),
+and each closed-form lead one Fraction.  The folded expansion is built once per parameter point
+(``_folded_layers``) and shared by the solver and the residual checker.
 """
 
 from __future__ import annotations
@@ -33,16 +37,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import diagrams, linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant, _reduce_mid,
                       basis_enumerate, is_idempotent, reduce)
 from .diagrams import Diagram, cup_state, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, NonGenericParameterError,
-                      ParamEnv, QLadder, STARRED_KINDS, UNCOILED_KINDS,
-                      gamma_hat, over_common_denominator, qladder, qnum,
-                      ratio, split, validate_env)
+                      ParamEnv, QInts, STARRED_KINDS, UNCOILED_KINDS,
+                      gamma_hat, over_common_denominator, qbinomials, qints,
+                      qnum, ratio, split, validate_env)
 
 
 # -- Wenzl-Jones projectors of TL ---------------------------------------------
@@ -141,43 +145,64 @@ def build_X(alg: Algebra, k: int, l2: int) -> AlgebraElement:
 
 # -- the e_0 Z expansion --------------------------------------------------------
 
-def _e0Z_layer(kind: str, num, n: int, k: int, alpha):
-    """(f2, rows) for layer k of the e_0 Z expansion: rows[l2] lists the
-    terms (c, k', l2') of e_0 Z_{k,l} = sum c X_{k',l'} for every l2 of the
-    layer, [0, n - 2k) or l2 = 0 alone at k = n/2, and f2 is the coefficient
-    of X_{k, l2 +- 2}.  num holds the q-numbers [0], [1], ..., [2n].
+def _e0Z_layers(kind: str, ladder: QInts, n: int, alpha) -> tuple:
+    """(den, layers) for the e_0 Z expansion: layers[k] = (f2, rows) for
+    every layer k of a Gamma table, where rows[l2] lists the terms
+    (c, k', l2') of e_0 Z_{k,l} = sum (c / den) X_{k',l'} for every l2 of the
+    layer, [0, n - 2k) or l2 = 0 alone at k = n/2, and f2 / den is the
+    coefficient of X_{k, l2 +- 2}.
 
-    X objects with 2k' > n do not exist and are left out.  The starred kinds
-    use their own displayed relations for k = (n-2)/2 and n/2.
+    Every coefficient is a q-number product over d = [n-1][n]; on the
+    integer ladder, [x][y] / d = w[x] w[y] / den for x + y <= 2n, with
+    w[x] = N_x u^(n-x) and den = N_{n-1} N_n u, so each c is an integer
+    (times alpha in the starred rows).  X objects with 2k' > n do not exist
+    and are left out.  The starred kinds use their own displayed relations
+    for k = (n-2)/2 and n/2.
     """
-    d = num[n - 1] * num[n]
-    f1 = -(num[n - k] * num[k] * num[2 * n] / (d * num[n]))
-    f2 = num[n - k] * num[k] / d
-    if kind in STARRED_KINDS and 2 * k >= n - 2:
-        half2 = num[n // 2] ** 2
-        if 2 * k == n:
-            return f2, [[((alpha ** 2 * half2 - num[n] ** 2) / d, k, 0)]]
-        return f2, [[(f1 + 2 * f2, k, l2), (x * half2 / d, k + 1, 0)]
-                    for l2, x in enumerate((num[2], alpha))]
-    mk2 = n - 2 * k
-    rows = []
-    for l2 in range(mk2):
-        terms = [(f1, k, l2), (f2, k, l2 - 2), (f2, k, l2 + 2)]
-        if 2 * k + 2 <= n:
-            # f3 = f3a + f3b, without f3a on the last row of the layer
-            c3 = num[k + l2] * num[k + 1]
-            if l2 != mk2 - 1:
-                c3 = c3 + num[n - k] * num[n - k - l2 - 1]
-            terms.append((c3 / d, k + 1, l2))
-            if l2:  # f4 = f4a + f4b, without f4b at l2 = 1
-                c4 = num[n - k - 1] * num[k + l2]
-                if l2 != 1:
-                    c4 = c4 + num[n - k - l2 + 1] * num[k]
-                terms.append((c4 / d, k + 1, l2 - 2))
-        if 2 * k + 4 <= n and l2 not in (0, 1, mk2 - 1):  # f5
-            terms.append((num[n - k - l2] * num[k + l2] / d, k + 2, l2 - 2))
-        rows.append(terms)
-    return f2, rows
+    num, u = ladder.num, ladder.u
+    w, power = [0] * (n + 1), 1
+    for x in range(n, -1, -1):
+        w[x] = num[x] * power
+        power *= u
+    # f1 = -[n-k][k] [2n] / (d [n]), and [2n] / [n] = q^n + q^-n =
+    # (a^(2n) + b^(2n)) / u^n
+    q_n_sum = ladder.a ** (2 * n) + ladder.b ** (2 * n)
+    layers = []
+    for k in range(_top_layer(kind, n) + 1):
+        f1 = -num[n - k] * num[k] * q_n_sum
+        f2 = w[n - k] * w[k]
+        if kind in STARRED_KINDS and 2 * k >= n - 2:
+            h = n // 2
+            half2 = w[h] * w[h]  # [n/2]^2 / d
+            if 2 * k == n:
+                layers.append((f2, [[(alpha ** 2 * half2 - w[n] * w[n], k,
+                                      0)]]))
+                continue
+            # [2][n/2] = [n/2 + 1] + [n/2 - 1]
+            two = (w[h + 1] + w[h - 1]) * w[h]
+            layers.append((f2, [[(f1 + 2 * f2, k, l2), (x, k + 1, 0)]
+                                for l2, x in enumerate((two, alpha * half2))]))
+            continue
+        mk2 = n - 2 * k
+        rows = []
+        for l2 in range(mk2):
+            terms = [(f1, k, l2), (f2, k, l2 - 2), (f2, k, l2 + 2)]
+            if 2 * k + 2 <= n:
+                # f3 = f3a + f3b, without f3a on the last row of the layer
+                c3 = w[k + l2] * w[k + 1]
+                if l2 != mk2 - 1:
+                    c3 += w[n - k] * w[n - k - l2 - 1]
+                terms.append((c3, k + 1, l2))
+                if l2:  # f4 = f4a + f4b, without f4b at l2 = 1
+                    c4 = w[n - k - 1] * w[k + l2]
+                    if l2 != 1:
+                        c4 += w[n - k - l2 + 1] * w[k]
+                    terms.append((c4, k + 1, l2 - 2))
+            if 2 * k + 4 <= n and l2 not in (0, 1, mk2 - 1):  # f5
+                terms.append((w[n - k - l2] * w[k + l2], k + 2, l2 - 2))
+            rows.append(terms)
+        layers.append((f2, rows))
+    return num[n - 1] * num[n] * u, layers
 
 
 # -- Gamma tables --------------------------------------------------------------
@@ -199,6 +224,7 @@ def _fold(kind: str, n: int, k: int, l2: int):
     return s, w
 
 
+@lru_cache(maxsize=16)  # the solver, the closed form and Q read one grid
 def gamma_grid(variant: AlgebraVariant):
     """All (k, l2) index pairs of the variant's Gamma table, k = 0 included
     (for the affine kinds the k = 0 row encodes the eigenprojector term):
@@ -346,24 +372,23 @@ def kernel_J(variant: AlgebraVariant, n: int, k: int, ell2: int,
 
 @lru_cache(maxsize=1)  # the solver and the residuals of one table share it
 def _folded_layers(variant: AlgebraVariant, env: ParamEnv) -> tuple:
-    """(f2, rows, d) for every layer k of the variant's table: the terms
-    of ``_e0Z_layer`` folded onto the rows (k', s) of the recurrence that
-    collect X_{k', s}, rows[l2] = (keys, nums) with the coefficient of
-    keys[i] nums[i] / d, zero terms left out.  X_{k', l2'} = gamma_hat^w
-    X_{k', s} with w, s = divmod(l2', n - 2k'), and at 2k' = n it folds by
-    the d = 0 window of ``_reduce_mid``, which kills it in the
-    double-starred kinds.  Empty when the table has no layer above 0 (at
-    n = 1, [n - 1] = 0)."""
+    """(den, layers) with layers[k] = (f2, rows, e) for every layer k of the
+    variant's table: the terms of ``_e0Z_layers`` folded onto the rows
+    (k', s) of the recurrence that collect X_{k', s}, rows[l2] =
+    (keys, nums) with the coefficient of keys[i] nums[i] / (e den), zero
+    terms left out, and f2 / den as in ``_e0Z_layers``.  X_{k', l2'} =
+    gamma_hat^w X_{k', s} with w, s = divmod(l2', n - 2k'), and at 2k' = n it
+    folds by the d = 0 window of ``_reduce_mid``, which kills it in the
+    double-starred kinds; e is the integer that clears these weights.
+    Empty when the table has no layer above 0 (at n = 1, [n - 1] = 0)."""
     kind, n = variant.kind, variant.n
-    top = _top_layer(kind, n)
-    if not top:
-        return ()
+    if not _top_layer(kind, n):
+        return 1, ()
     gh = gamma_hat(kind, env)
-    num = qladder(2 * n + 2, env).num
+    den, expansion = _e0Z_layers(kind, qints(2 * n + 2, env), n, env.alpha)
     shared = {}  # one tuple per row key
     layers = []
-    for k in range(top + 1):
-        f2, rows = _e0Z_layer(kind, num, n, k, env.alpha)
+    for f2, rows in expansion:
         folded = []
         for terms in rows:
             keys, coeffs = [], []
@@ -379,18 +404,19 @@ def _folded_layers(variant: AlgebraVariant, env: ParamEnv) -> tuple:
                     keys.append(shared.setdefault((kk, s), (kk, s)))
                     coeffs.append(c)
             folded.append((keys, coeffs))
-        nums, d = over_common_denominator(
+        nums, e = over_common_denominator(
             c for _, coeffs in folded for c in coeffs)
         nums = iter(nums)
         layers.append((f2, [(keys, [next(nums) for _ in coeffs])
-                            for keys, coeffs in folded], d))
-    return tuple(layers)
+                            for keys, coeffs in folded], e))
+    return den, tuple(layers)
 
 
 def _scatter(tbl: GammaTable, k: int, layer, lowest: int = 0) -> tuple:
     """(sums, d): Gamma_{k, l2} c summed onto each row (k', s) with
     k' >= lowest, over the folded terms ((k', s), c) of layer k
-    (``_folded_layers``), as integer numerators over one denominator d.
+    (``_folded_layers``), as integer numerators over d times the layers'
+    shared denominator.
     Every l2 of the layer is a source, its Gamma read through
     GammaTable.eval."""
     _, terms, dc = layer
@@ -430,12 +456,13 @@ def gamma_residuals(tbl: GammaTable) -> dict:
             for l2 in range(n - 2 * k)]
     if kind in STARRED_KINDS:
         keys.append((n // 2, 0))
-    parts = [_scatter(tbl, k, layer) for k, layer
-             in enumerate(_folded_layers(tbl.variant, tbl.env))]
+    den, layers = _folded_layers(tbl.variant, tbl.env)
+    parts = [_scatter(tbl, k, layer) for k, layer in enumerate(layers)]
     out = {}
     for _, row_keys in groupby(keys, key=itemgetter(0)):  # one layer of rows
         row_keys = list(row_keys)
         nums, d = _gather(parts, row_keys)
+        d *= den
         out.update(zip(row_keys, (ratio(x, d) for x in nums)))
     return out
 
@@ -477,7 +504,7 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
         if k == 0:
             tbl.entries[(0, l2)] = gamma_initial(variant, env, l2)
     gn, gd = split(gh)
-    layers = _folded_layers(variant, env)
+    _, layers = _folded_layers(variant, env)  # den cancels against f2
     scattered = []
     for k in range(1, len(layers)):
         scattered.append(_scatter(tbl, k - 1, layers[k - 1], k))
@@ -490,7 +517,7 @@ def gamma_solve(variant: AlgebraVariant, n: int, r=None,
         mk2 = n - 2 * k
         rows, drows = _gather(scattered, [(k, l2) for l2 in range(mk2)])
         size, x, parts = _kernel_parts(variant, n, k, env)
-        c = -1 / f2
+        c = ratio(-1, f2)
         (ap, bp, am, bm), cd = over_common_denominator(
             c * ab for pair in parts for ab in pair)
         big_x, big_y = split(x)
@@ -540,46 +567,56 @@ def gamma_conjecture(variant: AlgebraVariant, n: int, k: int, ell2: int,
                      env: ParamEnv):
     """The closed triple-sum formulas for Gamma_{k, l}."""
     _check_size(variant, n)
-    ladder = qladder(2 * n + 2 + abs(ell2), env)
-    try:
-        return _conjecture_layer(variant, n, k, env, ladder)(ell2)
-    except ZeroDivisionError:  # as in gamma_table_conjecture
-        raise NonGenericParameterError(f"guarded denominator vanishes for "
-                                       f"{variant.kind}, n={n}") from None
+    validate_env(env, variant, n)
+    ladder = qints(2 * n + 2 + abs(ell2), env)
+    return _conjecture_layer(variant, n, k, env, ladder)(ell2)
 
 
-def _rising_over_factorial(ladder: QLadder, start: int, count: int) -> list:
-    """[start][start+1]...[start+i-1] / [i]! for 0 <= i < count, as prefix
-    products over the ladder, with [-j] = -[j]."""
-    num, fact = ladder.num, ladder.fact
-    out, prod = [fact[0]], fact[0]
+def _rising(rows: tuple, u, start: int, count: int) -> tuple:
+    """(nums, d) with nums[i] / d = [start][start+1]...[start+i-1] / [i]!
+    for 0 <= i < count, [-j] = -[j].
+
+    That is the q-binomial [m choose i] with m = start + i - 1, or
+    (-1)^i [m choose i] with m = -start for start <= 0, read from the rows
+    of ``scalars.qbinomials``: over d = u^e with e the largest i (m - i), an
+    integer each."""
+    nums, exps = [1], [0]
     for i in range(1, count):
-        j = start + i - 1
-        prod = prod * (num[j] if j >= 0 else -num[-j])
-        out.append(prod / fact[i])
-    return out
+        if start > 0:
+            m = start + i - 1
+            x = rows[m][i]
+        else:
+            m = -start
+            x = -rows[m][i] if i % 2 else rows[m][i]
+        nums.append(x)
+        exps.append(i * (m - i) if x else 0)
+    top = max(exps)
+    return [x * u ** (top - e) for x, e in zip(nums, exps)], u ** top
 
 
-def _conjecture_layer(variant, n, k, env, ladder: QLadder):
+def _conjecture_layer(variant, n, k, env, ladder: QInts):
     """ell2 -> gamma_conjecture of layer k, with every q-number read from
-    ``ladder`` ([2n + 2] covers the grid, [2n + 2 + |ell2|] any ell2) and
-    every factor that does not depend on ell2 computed once for the layer."""
+    the integer ``ladder`` ([2n + 2] covers the grid, [2n + 2 + |ell2|] any
+    ell2) and every factor that does not depend on ell2 computed once for
+    the layer."""
     kind = variant.kind
-    q = env.q
-    num, fact = ladder.num, ladder.fact
     if k == 0:
         return lambda ell2: gamma_initial(variant, env, ell2)
     if 2 * k == n and kind in STARRED_KINDS:
         return lambda ell2: _starred_conjecture(kind, n, env, ladder, ell2)
     mk2 = n - 2 * k
-    pref = 1 / ((q - 1 / q) ** (2 * k - 1) * num[k] * fact[k - 1] ** 2)
+    num, fact, u = ladder.num, ladder.fact, ladder.u
+    big_p, big_q = ladder.a, ladder.b  # q = P/Q
+    affine = kind in AFFINE_KINDS
+    # 1 / ((q - 1/q)^(2k-1) [k] [k-1]!^2), and 1/n more for the affine
+    # kinds, with q - 1/q = (P^2 - Q^2) / u
+    pref = ratio(u ** (k * k), (big_p * big_p - big_q * big_q) ** (2 * k - 1)
+                 * num[k] * fact[k - 1] ** 2 * (n if affine else 1))
     # One triple sum for every kind.  They differ in the twist of den and
     # the scale of its exponent, den = twist q^(+-scale (n - 2(k - kap))) - 1,
     # in the power q^(+-(base + slope kap + n tau)), and in the offsets lo,
     # hi of the two q-number products.
-    affine = kind in AFFINE_KINDS
     if affine:
-        pref = pref / n
         twist, scale = env.omega * env.omega, 1
     elif kind in ("upTL1", "upTL2"):
         twist, scale = gamma_hat(kind, env), n // 2
@@ -596,30 +633,41 @@ def _conjecture_layer(variant, n, k, env, ladder: QLadder):
     # a[kap - tau] b[tau] is one factor per (sigma, kap), lead, and the
     # same for every ell2 of the layer.
     #
-    # The sums run on integers.  With q = P/Q, a = A/da, b = B/db and the
-    # leads of one sigma over one denominator, the sum over tau times
-    # Q^(n kap) (sigma = 1; P^(n kap) for sigma = -1) is the convolution
-    # of A[i] Q^(n i) with B[t] P^(n t), and q^(sigma (base + slope kap))
-    # / Q^(n kap) is P^e Q^(-e - n kap): powers of P and Q aligned on
-    # their lowest exponents over kap.  One Fraction per sigma.
+    # The sums run on integers.  The lead is [k-1]! [n-k-1]! / ([n-k-1+kap]!
+    # [k-1-kap]!) = F_(k-1) F_(n-k-1) u^(kap (n - 2k + kap)) / (F_(n-k-1+kap)
+    # F_(k-1-kap)) over den, where twist q^e - 1 = (t_n P^e - t_d Q^e) /
+    # (t_d Q^e), or with P and Q swapped for e < 0: one Fraction per lead.
+    # The rising products a and b are q-binomials, integers over a power of
+    # u (``_rising``).  With a = A/da, b = B/db and the leads of one sigma
+    # over one denominator, the sum over tau times Q^(n kap) (sigma = 1;
+    # P^(n kap) for sigma = -1) is the convolution of A[i] Q^(n i) with
+    # B[t] P^(n t), and q^(sigma (base + slope kap)) / Q^(n kap) is
+    # P^e Q^(-e - n kap): powers of P and Q aligned on their lowest
+    # exponents over kap.  One Fraction per sigma.
+    t_n, t_d = split(twist)
+    outer = fact[k - 1] * fact[n - k - 1]
     leads = {}
-    for sigma in (1, -1):
-        outer = sigma * fact[k - 1] * fact[n - k - 1]
-        leads[sigma] = over_common_denominator(
-            (-outer if kap % 2 else outer)
-            / ((twist * q ** (sigma * scale * (n - 2 * (k - kap))) - 1)
-               * fact[n - k - 1 + kap] * fact[k - 1 - kap])
-            for kap in range(k))
-    big_p, big_q = split(q)
+    for sigma, x, y in ((1, big_p, big_q), (-1, big_q, big_p)):
+        lead = []
+        for kap in range(k):
+            e = scale * (n - 2 * (k - kap))
+            ye = t_d * y ** e
+            top = outer * ye * u ** (kap * (mk2 + kap))
+            lead.append(ratio(-sigma * top if kap % 2 else sigma * top,
+                              (t_n * x ** e - ye) * fact[n - k - 1 + kap]
+                              * fact[k - 1 - kap]))
+        leads[sigma] = over_common_denominator(lead)
     pn = [big_p ** (n * t) for t in range(k)]
     qn = [big_q ** (n * t) for t in range(k)]
 
+    # the grid reads [m choose i] for m < n, and ell2 past it m <= n + |ell2|
+    rows = qbinomials(len(num) - n - 2, (n + 1) // 2, env)
+
     @lru_cache(maxsize=None)
     def rising(start):
-        """(d, [c_i P^(n i)], [c_i Q^(n i)]) for the rising products c_i / d
-        of ``_rising_over_factorial``."""
-        c, d = over_common_denominator(
-            _rising_over_factorial(ladder, start, k))
+        """(d, [c_i P^(n i)], [c_i Q^(n i)]) for the rising products
+        c_i / d of ``_rising``."""
+        c, d = _rising(rows, u, start, k)
         return (d, [x * y for x, y in zip(c, pn)],
                 [x * y for x, y in zip(c, qn)])
 
@@ -632,18 +680,20 @@ def _conjecture_layer(variant, n, k, env, ladder: QLadder):
             slope, lo, hi = n, 2 * mk2 - ell2, ell2 - mk2
         da, a_p, a_q = rising(lo)
         db, b_p, b_q = rising(hi)
-        # per kap, the exponents of P and of Q (sigma = -1: of Q and of P)
+        # per kap, the exponents of P and of Q (sigma = -1: of Q and of P),
+        # linear in kap, so lowest at kap = 0 or k - 1
         exps = [(base + slope * kap, -base - (slope + n) * kap)
                 for kap in range(k)]
-        low_top = min(e for e, _ in exps)
-        low_bottom = min(f for _, f in exps)
+        low_top = min(exps[0][0], exps[-1][0])
+        low_bottom = min(exps[0][1], exps[-1][1])
         total = 0
         for (lead, dl), top, bottom, a, b in (
                 (leads[1], big_p, big_q, a_q, b_p),
                 (leads[-1], big_q, big_p, a_p, b_q)):
             acc = 0
             for kap, (e, f) in enumerate(exps):
-                inner = sum(a[kap - tau] * b[tau] for tau in range(kap + 1))
+                # sum over tau of a[kap - tau] b[tau]
+                inner = sum(map(mul, a[kap::-1], b))
                 acc += (lead[kap] * inner * top ** (e - low_top)
                         * bottom ** (f - low_bottom))
             den = dl * da * db
@@ -659,14 +709,16 @@ def _conjecture_layer(variant, n, k, env, ladder: QLadder):
     return entry
 
 
-def _starred_conjecture(kind, n, env, ladder: QLadder, ell2):
+def _starred_conjecture(kind, n, env, ladder: QInts, ell2):
     """The starred coefficient Gamma_{n/2, 0}; for uaTL1, 0 unless omega
     is 1 (r = 0) or -1 (r = n/2)."""
     if ell2 != 0:
         raise ValueError("the k = n/2 coefficient only exists at l = 0")
-    q = env.q
-    half, full = ladder.num[n // 2], ladder.num[n]
-    base = (q - 1 / q) ** (n - 2) * ladder.fact[(n - 2) // 2] ** 2
+    num, u, h = ladder.num, ladder.u, n // 2
+    half, full = ratio(num[h], u ** (h - 1)), ratio(num[n], u ** (n - 1))
+    # (q - 1/q)^(n-2) [n/2 - 1]!^2
+    base = ratio((ladder.a ** 2 - ladder.b ** 2) ** (n - 2)
+                 * ladder.fact[h - 1] ** 2, u ** (n - 2 + (h - 1) * (h - 2)))
     if kind == "upTL1":
         return -full * half / (base * (env.alpha ** 2 * half ** 2
                                        - full ** 2))
@@ -680,17 +732,14 @@ def _starred_conjecture(kind, n, env, ladder: QLadder, ell2):
 def gamma_table_conjecture(variant: AlgebraVariant, n: int, r=None,
                            env: ParamEnv | None = None) -> GammaTable:
     _check_size(variant, n)
+    validate_env(env, variant, n)
     check_sector(variant, r, env)
     tbl = GammaTable(variant, n, r, env)
-    ladder = qladder(2 * n + 2, env)
-    try:
-        for k, keys in groupby(gamma_grid(variant), key=itemgetter(0)):
-            entry = _conjecture_layer(variant, n, k, env, ladder)
-            for _, l2 in keys:
-                tbl.entries[(k, l2)] = entry(l2)
-    except ZeroDivisionError:  # every denominator here is a guard value
-        raise NonGenericParameterError(f"guarded denominator vanishes for "
-                                       f"{variant.kind}, n={n}") from None
+    ladder = qints(2 * n + 2, env)
+    for k, keys in groupby(gamma_grid(variant), key=itemgetter(0)):
+        entry = _conjecture_layer(variant, n, k, env, ladder)
+        for _, l2 in keys:
+            tbl.entries[(k, l2)] = entry(l2)
     return tbl
 
 
@@ -793,19 +842,19 @@ def projector_oracle(variant: AlgebraVariant, n: int,
 
 def check_e0Z(alg: Algebra, k: int, l2: int) -> AlgebraElement:
     """Residual of the e_0 Z_{k,l} expansion into X objects (expected zero):
-    e_0 Z_{k,l} minus the terms that ``_e0Z_layer`` lists for it, built on
+    e_0 Z_{k,l} minus the terms that ``_e0Z_layers`` lists for it, built on
     alg, so the rows of one grid share its blocks."""
     n, env = alg.n, alg.env
-    num = qladder(2 * n + 2, env).num
-    rows = (_e0Z_layer(alg.variant.kind, num, n, k, env.alpha)[1]
-            if 0 <= 2 * k <= n else [])
+    den, layers = _e0Z_layers(alg.variant.kind, qints(2 * n + 2, env), n,
+                              env.alpha)
+    rows = layers[k][1] if 0 <= k < len(layers) else []
     if not 0 <= l2 < len(rows):
         raise ValueError(f"the e_0 Z expansion has no row (k, l2)={(k, l2)} "
                          f"at n={n}")
     out = alg.e(0) * build_Z(alg, k, l2)
     for c, kk, ll2 in rows[l2]:
         if c:  # X_0 does not exist, and at k = 0, f1 = f2 = 0
-            out = out - c * build_X(alg, kk, ll2)
+            out = out - ratio(c, den) * build_X(alg, kk, ll2)
     return out
 
 

@@ -8,10 +8,12 @@ vanishes there with probability zero, and resampling the seed would expose
 such an accident.  The base parameter is s = q^(1/2), so that the
 half-powers of q appearing in braid faces and eigenvalues stay rational.
 
-The q-arithmetic of one Gamma table comes from one q-number ladder
-(``qladder``): the q-numbers [j] and q-factorials [j]! for 0 <= j <= 2n + 2,
-computed once per table, so that no per-scalar lookup re-hashes the
-parameter point.
+The q-arithmetic of one Gamma table comes from one integer q-number ladder
+(``qints``), built once per parameter point.  With q = a/b and u = ab, each
+q-number is [j] = N_j / u^(j-1) and each q-factorial [j]! = F_j /
+u^(j(j-1)/2), where N_j = (a^(2j) - b^(2j)) / (a^2 - b^2) and F_j = N_1 ...
+N_j are integers, so the tables multiply integers over known denominators
+instead of reducing a Fraction per step.
 
 A complex-float backend exists solely for the checks that genuinely need
 all n-th roots of unity (splitting a periodic projector into its affine
@@ -172,7 +174,7 @@ def qnum_at(q, k: int):
     return (q ** k - q ** (-k)) / (q - 1 / q)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # an exact s and its complex copy differ
 def _qnum_cached(s, k):
     return qnum_at(s * s, k)
 
@@ -213,6 +215,64 @@ def qbinom(kappa: int, tau: int, env: ParamEnv):
         raise ValueError(f"qbinom indices out of range: ({kappa}, {tau})")
     fact = qladder(kappa, env).fact
     return fact[kappa] / (fact[tau] * fact[kappa - tau])
+
+
+class QInts(NamedTuple):
+    """The integer q-number ladder at one point, q = a/b and u = ab:
+    [j] = num[j] / u^(j-1) and [j]! = fact[j] / u^(j(j-1)/2) for
+    0 <= j <= top.  On the complex backend a = u = q and b = 1."""
+
+    a: object
+    b: object
+    u: object
+    num: tuple
+    fact: tuple
+
+
+def qints(top: int, env: ParamEnv) -> QInts:
+    """The integer ladder up to [top], shared by every table at one q."""
+    return _qints(env.backend, env.s, top)
+
+
+@lru_cache(maxsize=4)
+def _qints(backend: str, s, top: int) -> QInts:
+    a, b = split(s * s)
+    a2, b2 = a * a, b * b
+    num, fact = [0, 1], [1, 1]
+    step = b2  # b^(2j) for N_(j+1) = a^2 N_j + b^(2j)
+    for _ in range(top - 1):
+        num.append(a2 * num[-1] + step)
+        fact.append(fact[-1] * num[-1])
+        step *= b2
+    return QInts(a, b, a * b, tuple(num[:top + 1]), tuple(fact[:top + 1]))
+
+
+def qbinomials(top: int, count: int, env: ParamEnv) -> tuple:
+    """rows[m][i] for 0 <= m <= top and 0 <= i < count: the integers with
+    [m choose i] = rows[m][i] / u^(i (m - i)) on the ladder of ``qints``, 0
+    for i > m.  With x = a^2 and y = b^2 they follow q-Pascal,
+    rows[m][i] = x^i rows[m-1][i] + y^(m-i) rows[m-1][i-1]."""
+    return _qbinomials(env.backend, env.s, top, count)
+
+
+@lru_cache(maxsize=4)
+def _qbinomials(backend: str, s, top: int, count: int) -> tuple:
+    a, b = split(s * s)
+    x, y = a * a, b * b
+    xp, yp = [1], [1]
+    for _ in range(1, count):
+        xp.append(xp[-1] * x)
+    for _ in range(top):
+        yp.append(yp[-1] * y)
+    row = (1,) + (0,) * (count - 1)
+    rows = [row]
+    for m in range(1, top + 1):
+        prev = row
+        row = [1] + [xp[i] * prev[i] + yp[m - i] * prev[i - 1]
+                     for i in range(1, min(m, count - 1) + 1)]
+        row = tuple(row) + (0,) * (count - len(row))
+        rows.append(row)
+    return tuple(rows)
 
 
 # -- integer numerators ------------------------------------------------------
@@ -301,10 +361,14 @@ def guard_values(kind: str, n: int, env: ParamEnv):
 
 
 def validate_env(env: ParamEnv, variant, n: int | None = None) -> None:
-    """Raise NonGenericParameterError if any guarded denominator vanishes."""
-    kind = _kind_of(variant)
-    if n is None:
-        n = variant.n
+    """Raise NonGenericParameterError if any guarded denominator vanishes.
+    A point that passed is remembered, so the table and the projector of
+    one point check it once; a failing one raises on every call."""
+    _validate(env, _kind_of(variant), variant.n if n is None else n)
+
+
+@lru_cache(maxsize=8)  # a raise stores nothing
+def _validate(env: ParamEnv, kind: str, n: int) -> None:
     if kind in AFFINE_KINDS:
         if env.omega is None:
             raise NonGenericParameterError("affine variant needs omega")

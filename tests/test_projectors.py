@@ -30,6 +30,10 @@ from uncoiledtl.scalars import (AFFINE_KINDS, EXACT, FLOAT_RTOL,
                                 sample_env)
 from uncoiledtl.selfcheck import check_e0Z_grids, legal_sizes, sector_of
 
+from uncoiledtl.algebra import _reduce_mid
+from uncoiledtl.projectors import _rising
+from uncoiledtl.scalars import qbinomials, qints
+
 from test_acceptance import _float_env_on_circle
 
 
@@ -818,6 +822,125 @@ def test_closed_forms_report_a_vanishing_guard_as_non_generic():
                   lambda: gamma_conjecture(v, 3, 1, 0, env)):
         with pytest.raises(NonGenericParameterError, match=message):
             build()
+
+
+def test_closed_forms_refuse_what_the_solver_refuses():
+    # an exact affine point without omega, or with gamma != omega^n
+    v = AlgebraVariant("uaTL", 3)
+    env = sample_env(0, "uaTL", 3)
+    for bad, message in ((env.replace(omega=None), "needs omega"),
+                         (env.replace(gamma=env.gamma + 1),
+                          r"gamma != omega\^n")):
+        for build in (lambda: gamma_solve(v, 3, None, bad),
+                      lambda: gamma_table_conjecture(v, 3, None, bad),
+                      lambda: gamma_conjecture(v, 3, 1, 0, bad)):
+            with pytest.raises(NonGenericParameterError, match=message):
+                build()
+
+
+def _e0Z_layer_reference(kind, num, n, k, alpha):
+    """(f2, rows) of layer k of the e_0 Z expansion in Fractions, one
+    q-number product over d = [n-1][n] per coefficient, as it was written
+    before it ran on the integer ladder."""
+    d = num[n - 1] * num[n]
+    f1 = -(num[n - k] * num[k] * num[2 * n] / (d * num[n]))
+    f2 = num[n - k] * num[k] / d
+    if kind in STARRED_KINDS and 2 * k >= n - 2:
+        half2 = num[n // 2] ** 2
+        if 2 * k == n:
+            return f2, [[((alpha ** 2 * half2 - num[n] ** 2) / d, k, 0)]]
+        return f2, [[(f1 + 2 * f2, k, l2), (x * half2 / d, k + 1, 0)]
+                    for l2, x in enumerate((num[2], alpha))]
+    mk2 = n - 2 * k
+    rows = []
+    for l2 in range(mk2):
+        terms = [(f1, k, l2), (f2, k, l2 - 2), (f2, k, l2 + 2)]
+        if 2 * k + 2 <= n:
+            c3 = num[k + l2] * num[k + 1]
+            if l2 != mk2 - 1:
+                c3 = c3 + num[n - k] * num[n - k - l2 - 1]
+            terms.append((c3 / d, k + 1, l2))
+            if l2:
+                c4 = num[n - k - 1] * num[k + l2]
+                if l2 != 1:
+                    c4 = c4 + num[n - k - l2 + 1] * num[k]
+                terms.append((c4 / d, k + 1, l2 - 2))
+        if 2 * k + 4 <= n and l2 not in (0, 1, mk2 - 1):
+            terms.append((num[n - k - l2] * num[k + l2] / d, k + 2, l2 - 2))
+        rows.append(terms)
+    return f2, rows
+
+
+def test_folded_layers_equal_the_fraction_expansion():
+    # every folded coefficient over its denominator e den equals the
+    # Fraction coefficient times its fold weight, term for term
+    cases = 0
+    for kind in UNCOILED_KINDS:
+        for n in legal_sizes(kind, 9):
+            v = AlgebraVariant(kind, n)
+            for seed in (0, 1, 2):
+                env = sample_env(seed, kind, n)
+                num = qladder(2 * n + 2, env).num
+                gh = gamma_hat(kind, env)
+                den, layers = _folded_layers(v, env)
+                for k, (f2, rows, e) in enumerate(layers):
+                    want_f2, want_rows = _e0Z_layer_reference(
+                        kind, num, n, k, env.alpha)
+                    assert Fraction(f2, den) == want_f2, (kind, n, k)
+                    assert len(rows) == len(want_rows)
+                    for (keys, nums), terms in zip(rows, want_rows):
+                        want = []
+                        for c, kk, l2 in terms:
+                            if 2 * kk < n:
+                                w, s = divmod(l2, n - 2 * kk)
+                                c = c * gh ** w
+                            else:
+                                weight, s = _reduce_mid(kind, n, env, 0,
+                                                        abs(l2))
+                                c = c * weight
+                            if c:
+                                want.append(((kk, s), c))
+                        got = [(key, Fraction(x, e * den))
+                               for key, x in zip(keys, nums)]
+                        assert got == want, (kind, n, seed, k)
+                        cases += len(got)
+    assert cases > 1000
+
+
+def test_rising_products_match_the_fraction_reference():
+    # start in (-m_k, 2 m_k], zero and negative starts included
+    cases = 0
+    for kind, n in [("uaTL", 9), ("upTL", 7), ("upTL2", 10), ("uaTL1", 8)]:
+        env = sample_env(1, kind, n)
+        ladder, u = qladder(2 * n + 2, env), qints(2 * n + 2, env).u
+        rows = qbinomials(n + 1, (n + 1) // 2, env)
+        for k in range(1, (n + 1) // 2):
+            mk2 = n - 2 * k
+            for start in range(-((mk2 - 1) // 2), mk2 + 1):
+                nums, d = _rising(rows, u, start, k)
+                want = _rising_over_factorial_reference(ladder, start, k)
+                assert [Fraction(x, d) for x in nums] == want, \
+                    (kind, n, k, start)
+                cases += 1
+    assert cases > 50
+
+
+def test_closed_form_past_the_grid_matches_the_term_by_term_reference():
+    # |ell2| past every stored window reads q-numbers up to
+    # [2n + 2 + |ell2|]: the single-entry ladder must reach them
+    cases = 0
+    for v, r, env in _conjecture_cases(7, seeds=(0,)):
+        n = v.n
+        ells = [2 * n + 2, -2 * n - 2, 4 * n + 6]
+        if v.kind in AFFINE_KINDS:
+            ells += [2 * n + 3, -2 * n - 5]
+        for k in range(1, (n + 1) // 2):
+            for ell2 in ells:
+                want = _gamma_conjecture_reference(v, n, k, ell2, r, env)
+                assert gamma_conjecture(v, n, k, ell2, env) == want, \
+                    (v.kind, n, k, ell2)
+                cases += 1
+    assert cases > 100
 
 
 def test_sandwich_Q_matches_the_sum_of_Z():

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import math
 import pickle
@@ -10,10 +11,12 @@ import pytest
 from uncoiledtl.algebra import AlgebraVariant, MiddleValue
 from uncoiledtl.projectors import GammaTable
 from uncoiledtl.reps import StandardModule
+import uncoiledtl.scalars
 from uncoiledtl.scalars import (EXACT, FLOAT, NonGenericParameterError,
-                                ParamEnv, _int_to_str, qbinom, qfact, qnum,
-                                qnum_at, sample_env, scalar_from_json,
-                                scalar_to_json, validate_env)
+                                ParamEnv, _int_to_str, qbinom, qbinomials,
+                                qfact, qints, qnum, qnum_at, sample_env,
+                                scalar_from_json, scalar_to_json,
+                                validate_env)
 
 
 def test_qnum_basics():
@@ -65,6 +68,65 @@ def test_ladder_lookups_match_plain_qnum_products():
             for tau in range(kappa + 1):
                 assert qbinom(kappa, tau, env) == prod(1, kappa) / (
                     prod(1, tau) * prod(1, kappa - tau))
+
+
+def test_integer_ladder_gives_the_q_numbers():
+    # [j] = N_j / u^(j-1) and [j]! = F_j / u^(j(j-1)/2), exactly at rational
+    # points on both sides of 1 and below 0, within 1e-12 at complex ones
+    n = 9
+    top = 3 * n + 2
+    for s in (Fraction(2, 7), Fraction(9, 4), Fraction(-5, 3)):
+        env = ParamEnv(EXACT, s, 1, 1, None, 2, 0)
+        ladder = qints(top, env)
+        assert (ladder.a, ladder.b, ladder.u) == (
+            s.numerator ** 2, s.denominator ** 2,
+            (s.numerator * s.denominator) ** 2)
+        assert all(isinstance(x, int) for x in ladder.num + ladder.fact)
+        for j in range(top + 1):
+            assert ladder.num[j] / Fraction(ladder.u) ** (j - 1) \
+                == qnum(j, env)
+            assert Fraction(ladder.fact[j], ladder.u ** (j * (j - 1) // 2)) \
+                == qfact(j, env)
+    for s in (cmath.exp(0.7j), cmath.exp(1.1j), complex(1.3, 0.4)):
+        env = ParamEnv(FLOAT, s, 1j, 1j, None, 2j, 0)
+        ladder = qints(top, env)
+        assert ladder.b == 1
+        for j in range(top + 1):
+            want = qnum(j, env)
+            got = ladder.num[j] / ladder.u ** (j - 1)
+            assert abs(got - want) <= 1e-12 * max(1, abs(want)), (s, j)
+
+
+def test_integer_qbinomial_rows_give_the_q_binomials():
+    # [m choose i] = rows[m][i] / u^(i (m - i)), and 0 past i = m
+    for s in (Fraction(2, 7), Fraction(-9, 4)):
+        env = ParamEnv(EXACT, s, 1, 1, None, 2, 0)
+        u = qints(0, env).u
+        rows = qbinomials(20, 8, env)
+        assert len(rows) == 21 and {len(row) for row in rows} == {8}
+        for m, row in enumerate(rows):
+            for i, x in enumerate(row):
+                want = qbinom(m, i, env) if i <= m else 0
+                assert x / Fraction(u) ** (i * (m - i)) == want, (s, m, i)
+    env = ParamEnv(FLOAT, cmath.exp(0.9j), 1j, 1j, None, 2j, 0)
+    u = qints(0, env).u
+    for m, row in enumerate(qbinomials(20, 8, env)):
+        for i in range(min(m, 7) + 1):
+            want = qbinom(m, i, env)
+            got = row[i] / u ** (i * (m - i))
+            assert abs(got - want) <= 1e-12 * max(1, abs(want)), (m, i)
+
+
+def test_qnum_memo_keeps_each_backend_type():
+    # a dyadic s and its complex copy are equal keys; neither reads the
+    # other's q-numbers
+    exact = ParamEnv(EXACT, Fraction(3, 2), 1, 1, None, 2, 0)
+    approx = exact.to_float()
+    assert exact.s == approx.s and hash(exact.s) == hash(approx.s)
+    for first, second in ((exact, approx), (approx, exact)):
+        uncoiledtl.scalars._qnum_cached.cache_clear()
+        qnum(3, first)
+        assert type(qnum(3, second)) is type(second.s)
 
 
 def test_qbinom_classical_limit():
@@ -145,6 +207,29 @@ def test_validate_env_rejects_bad_points():
     bad = ParamEnv(EXACT, env.s, env.alpha, Fraction(2), env.omega, env.z, 0)
     with pytest.raises(NonGenericParameterError):
         validate_env(bad, "uaTL", 3)  # gamma != omega^n
+
+
+def test_a_passing_point_is_validated_once_and_a_failing_one_always(
+        monkeypatch):
+    calls = []
+    guard_values = uncoiledtl.scalars.guard_values
+
+    def counted(*args):
+        calls.append(args)
+        return guard_values(*args)
+
+    monkeypatch.setattr(uncoiledtl.scalars, "guard_values", counted)
+    env = sample_env(0, "uaTL", 3).replace(rng_seed=7919)  # not seen before
+    validate_env(env, "uaTL", 3)
+    validate_env(env, AlgebraVariant("uaTL", 3))
+    assert len(calls) == 1
+    # omega^2 q = 1: a guard vanishes
+    bad = ParamEnv(EXACT, Fraction(2), Fraction(3), Fraction(1, 8),
+                   Fraction(1, 2), Fraction(3), 7919)
+    for _ in range(2):
+        with pytest.raises(NonGenericParameterError, match="vanishes"):
+            validate_env(bad, "uaTL", 3)
+    assert len(calls) == 3
 
 
 def test_exact_env_takes_ints_as_fractions_and_refuses_floats():
