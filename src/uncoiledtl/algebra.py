@@ -5,11 +5,13 @@ finite TL subalgebra, and the six uncoiled quotients.  Reduction is eager:
 every product term is immediately folded into its variant's canonical mid
 window, which keeps winding exponents bounded and term keys hashable.
 
-``mul`` sums the pairs of terms as integers over the factors' common
-denominators, and finishes over one common denominator: each output
-diagram's coefficient is one int sum over the handful of distinct factors
-s * beta**k (reduction scalar times loop weight) of the product, and one
-Fraction.  A complex value is its own numerator over 1, so both backends
+An element stores int numerators over one denominator (``nums`` over
+``den``), in lowest terms, so equal values have equal stored forms.
+``mul`` sums the pairs of terms on those integers, and each output
+diagram's numerator is one int sum over the handful of distinct factors
+s * beta**k (reduction scalar times loop weight) of the product; one gcd
+pass over the output cancels the common factor, and no Fraction is built
+per term.  A complex value is its own numerator over 1, so both backends
 run the same code.
 """
 
@@ -17,13 +19,14 @@ from __future__ import annotations
 
 import math
 import os
+from types import MappingProxyType
 
 from . import diagrams
 from .diagrams import (Diagram, LinkState, link_states, outer_face, sigma_bt,
                        trace_interface)
 from .scalars import (ALL_KINDS, EXACT, FLOAT_RTOL, PERIODIC_KINDS,
                       FrozenValue, ParamEnv, gamma_hat,
-                      over_common_denominator, ratio)
+                      over_common_denominator, ratio, split)
 
 DEFAULT_MAX_TERMS = 5_000_000
 
@@ -190,24 +193,64 @@ class Algebra:
 
 
 class AlgebraElement:
-    """A finite scalar-weighted combination of reduced canonical diagrams."""
+    """A finite scalar-weighted combination of reduced canonical diagrams.
 
-    __slots__ = ("algebra", "terms")
+    Stored as ``nums`` ({diagram: int numerator}, no zero) over ``den``, a
+    positive int, in lowest terms: gcd(den, *nums) == 1, and den == 1 when
+    empty, so den is the lcm of the coefficients' reduced denominators and
+    equal values have identical (nums, den).  On the float backend the
+    numerators are the complex coefficients themselves and den is 1."""
 
-    def __init__(self, algebra: Algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
+    __slots__ = ("algebra", "nums", "den", "_terms")
+
+    def __init__(self, algebra: Algebra, terms):
+        """The element with the coefficients of a {diagram: scalar}
+        mapping (Fractions and ints, or complex values); zeros are
+        dropped."""
+        terms = {d: c for d, c in terms.items() if c}
+        nums, den = over_common_denominator(terms.values())
+        self.algebra, self.den = algebra, den
+        self.nums, self._terms = dict(zip(terms, nums)), None
+
+    @classmethod
+    def from_numerators(cls, algebra: Algebra, nums: dict,
+                        den) -> "AlgebraElement":
+        """The element nums / den, for nonzero numerators (complex values
+        over den = 1 on the float backend): one gcd pass cancels their
+        common factor with den."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {d: c // g for d, c in nums.items()}
+        out = cls.__new__(cls)
+        out.algebra, out.nums, out.den, out._terms = algebra, nums, den, None
+        return out
+
+    @property
+    def terms(self):
+        """The read-only {diagram: coefficient} view (Fractions, or complex
+        values on the float backend), built on first read and kept."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType(
+                {d: ratio(c, den) for d, c in self.nums.items()})
+        return self._terms
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            val = out.get(d, 0) + c
+        da, db = self.den, other.den
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = ({d: c * fa for d, c in self.nums.items()} if fa != 1
+               else dict(self.nums))
+        for d, c in other.nums.items():
+            val = out.get(d, 0) + c * fb
             if val:
                 out[d] = val
-            elif d in out:
+            else:
                 del out[d]
-        return AlgebraElement(self.algebra, out)
+        return self.from_numerators(self.algebra, out, den)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -217,9 +260,13 @@ class AlgebraElement:
 
     def scaled(self, scalar):
         if not scalar:
-            return AlgebraElement(self.algebra, {})
-        return AlgebraElement(self.algebra,
-                              {d: c * scalar for d, c in self.terms.items()})
+            return self.algebra.zero()
+        # times the backend's one: a Fraction scales a float element as
+        # the complex value it rounds to, over 1
+        num, den = split(scalar * self.algebra.env.one)
+        return self.from_numerators(
+            self.algebra, {d: c * num for d, c in self.nums.items()},
+            self.den * den)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -242,22 +289,23 @@ class AlgebraElement:
         return self.terms.get(dia, 0)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return (max((abs(c) for c in self.nums.values()), default=0.0)
+                / self.den)
 
     def is_zero(self) -> bool:
         env = self.algebra.env
         if env.backend == EXACT:
-            return not self.terms
-        return all(env.is_zero(c) for c in self.terms.values())
+            return not self.nums
+        return all(env.is_zero(c) for c in self.nums.values())
 
     def equals(self, other) -> bool:
         self._check(other)
         env = self.algebra.env
         if env.backend == EXACT:
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         scale = max(1.0, self.max_abs(), other.max_abs())
         diff = self - other
-        return all(abs(c) <= FLOAT_RTOL * scale for c in diff.terms.values())
+        return all(abs(c) <= FLOAT_RTOL * scale for c in diff.nums.values())
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -265,14 +313,14 @@ class AlgebraElement:
         return self.equals(other)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.nums)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __repr__(self):
         parts = [f"{c}*{d!r}" for d, c in self.sorted_terms()[:4]]
-        more = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
+        more = "" if len(self) <= 4 else f" ... ({len(self)} terms)"
         return f"<{self.algebra.variant.kind} element: {' + '.join(parts)}{more}>"
 
     def to_json(self):
@@ -307,25 +355,24 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     added up by code as well, and the pair loop runs once per such class:
     a pair of codes only adds the product of their sums under their key.
 
-    Both factors are first put over their common denominators (sa and sb),
-    so a pair of terms costs one int multiply and add, not a Fraction
-    normalization.  Each key's sum is then added, under its reduced diagram,
-    to one running int per factor s * beta**k; a product has only a handful
-    of distinct factors.  These are put over one denominator as well, so
-    each output diagram's coefficient is one int sum over sa * sb times that
-    denominator, and one Fraction.  A complex value is its own numerator
-    over 1, so the float backend runs the same code.
+    The pairs run on the factors' int numerators (``nums``), so a pair of
+    terms costs one int multiply and add, not a Fraction normalization.
+    Each key's sum is then added, under its reduced diagram, to one running
+    int per factor s * beta**k; a product has only a handful of distinct
+    factors.  These are put over one denominator as well, so each output
+    diagram's numerator is one int sum over the factors' denominators times
+    that one, and a single gcd pass over the output puts it in lowest
+    terms: no Fraction is built per output term.  A complex value is its
+    own numerator over 1, so the float backend runs the same code.
     """
     a._check(b)
     alg = a.algebra
     variant, env = alg.variant, alg.env
-    coeffs_a, sa = over_common_denominator(a.terms.values())
-    coeffs_b, sb = over_common_denominator(b.terms.values())
     cap = max_terms()
     by_top, by_bottom = {}, {}
-    for dia, c in zip(a.terms, coeffs_a):
+    for dia, c in a.nums.items():
         by_top.setdefault(dia.top, []).append((dia, c))
-    for dia, c in zip(b.terms, coeffs_b):
+    for dia, c in b.nums.items():
         by_bottom.setdefault(dia.bottom, []).append((dia, c))
 
     # key = ((beta_exp * NB + bottom) * NT + top) * W + mid + OFF, added up
@@ -334,12 +381,12 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     # are bounded by the factors' mids plus the interface: a curve through
     # it runs along at most n arcs, each spanning under n positions.
     n = variant.n
-    bound_l = max((abs(d.mid) for d in a.terms), default=0) + 2 * n
-    bound_r = max((abs(d.mid) for d in b.terms), default=0) + n * n + 2 * n
+    bound_l = max((abs(d.mid) for d in a.nums), default=0) + 2 * n
+    bound_r = max((abs(d.mid) for d in b.nums), default=0) + n * n + 2 * n
     off = bound_l + bound_r
     width = 2 * off + 1
-    nb = len(a.terms) * len(by_bottom)
-    nt = len(b.terms) * len(by_top)
+    nb = len(a.nums) * len(by_bottom)
+    nt = len(b.nums) * len(by_top)
     bottoms, tops = {}, {}
     acc = {}
     get = acc.get
@@ -430,9 +477,9 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for dr, val in part.items():
             sums[dr] = sums.get(dr, 0) + val * f
     del parts
-    den = sa * sb * common
-    return AlgebraElement(alg, {dr: ratio(val, den)
-                                for dr, val in sums.items() if val})
+    return AlgebraElement.from_numerators(
+        alg, {dr: val for dr, val in sums.items() if val},
+        a.den * b.den * common)
 
 
 # -- bases and dimensions -----------------------------------------------------

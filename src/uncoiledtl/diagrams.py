@@ -551,6 +551,7 @@ def trace_interface(lower: LinkState, upper: LinkState):
     return beta_exp, nc, lower_side, upper_side, len(links)
 
 
+@lru_cache(maxsize=1 << 14)
 def outer_face(state: LinkState, shift: int, side, d_new: int):
     """One factor's outer face after the interface of a product.
 

@@ -118,8 +118,9 @@ def _times_P(left: AlgebraElement) -> AlgebraElement:
     multiplied."""
     alg = left.algebra
     cups = _cup_states(alg.n)
-    contacts = AlgebraElement(alg, {dia: c for dia, c in left.terms.items()
-                                    if dia.top in cups})
+    contacts = AlgebraElement.from_numerators(
+        alg, {dia: c for dia, c in left.nums.items() if dia.top in cups},
+        left.den)
     return contacts * wenzl_jones_P(alg.n, alg)
 
 

@@ -58,9 +58,9 @@ def _action_numerators(a, module: StandardModule):
     Each term acts on a state as ``act_on_state`` does, but by interface
     blocks, as ``mul`` multiplies: the terms are grouped by top, each (top,
     state) interface is traced once, and a term's outer face is computed
-    once per distinct lower side record of its top.  The coefficients of a
-    are put over one common denominator, and each (cell, weight key) adds
-    up their int numerators.  The handful of distinct weights are then put
+    once per distinct lower side record of its top.  Each (cell, weight
+    key) adds up the int numerators of a (``AlgebraElement.nums``, over
+    its one denominator).  The handful of distinct weights are then put
     over one denominator too, so each cell is one int sum.  A complex value
     is its own numerator over 1, so the float backend runs the same code.
     Raises ResourceLimitError before any work once the dim x dim matrix
@@ -73,10 +73,12 @@ def _action_numerators(a, module: StandardModule):
         raise ResourceLimitError(
             f"a {dim} x {dim} module matrix exceeds UTL_MAX_TERMS={cap}")
     index = {s: i for i, s in enumerate(basis)}
-    terms = a.terms if isinstance(a, AlgebraElement) else {a: 1}
-    coeffs, den = over_common_denominator(terms.values())
+    if isinstance(a, AlgebraElement):
+        nums, den = a.nums, a.den
+    else:
+        nums, den = {a: 1}, 1
     by_top = {}
-    for dia, c in zip(terms, coeffs):
+    for dia, c in nums.items():
         if dia.n != module.n:
             raise ValueError("size mismatch")
         by_top.setdefault(dia.top, []).append((dia, c))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from uncoiledtl.algebra import (Algebra, AlgebraElement, AlgebraVariant,
                                 psi_bilinear, reduce)
 from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, e, identity,
                                  link_states, multiply_raw, omega,
-                                 trace_interface)
+                                 outer_face, trace_interface)
 from uncoiledtl.projectors import (build_projector_Q, gamma_solve,
+                                   projector_oracle, sector_of,
                                    wenzl_jones_P)
 from uncoiledtl.scalars import (ALL_KINDS, FLOAT, FLOAT_RTOL,
                                 UNCOILED_KINDS, sample_env)
@@ -508,6 +510,118 @@ def test_mul_over_one_denominator_matches_pairwise_reference(kind):
                 assert (alg.e(j) * p).terms == {} == (p * alg.e(j)).terms
                 assert _pairwise_product(alg.e(j), p).terms == {}
     assert most > 1  # the tail met more than one factor
+
+
+# -- the stored form: int numerators over one denominator --------------------
+
+def _assert_lowest_terms(x):
+    """gcd(den, *nums) == 1, no zero numerator, den == 1 when empty, and den
+    the lcm of the coefficients' reduced denominators."""
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(c) is int and c for c in x.nums.values())
+    assert math.gcd(x.den, *x.nums.values()) == 1
+    assert x.den == math.lcm(*(c.denominator for c in x.terms.values()))
+    if not x.nums:
+        assert x.den == 1
+
+
+def _stored(x):
+    return x.nums, x.den
+
+
+@pytest.mark.parametrize("kind, n", [("upTL", 5), ("uaTL2", 4), ("uaTL1", 4),
+                                     ("aTL", 3)])
+def test_elements_are_stored_in_lowest_terms(kind, n):
+    rng = random.Random(f"lowest:{kind}")
+    alg = Algebra(AlgebraVariant(kind, n), sample_env(2, kind, n))
+    a, b = _mixed_element(alg, rng, 12), _mixed_element(alg, rng, 12)
+    for x in (a, b, a + b, a - b, a * b, b * a, Fraction(6, 35) * a, 4 * b,
+              -a, a - a, alg.zero(), alg.one(), alg.e(1) * a,
+              AlgebraElement(alg, {identity(n): Fraction(5, 10), e(n, 1): 2})):
+        _assert_lowest_terms(x)
+    assert _stored(a - a) == _stored(alg.zero()) == ({}, 1)
+    assert a.den > 1  # the mixed denominators did not all cancel
+    if kind != "aTL":
+        p = wenzl_jones_P(n, alg)
+        _assert_lowest_terms(p)
+        assert _stored(alg.e(1) * p) == ({}, 1)
+
+
+@pytest.mark.parametrize("kind, n", [("upTL", 5), ("uaTL2", 4)])
+def test_equal_values_have_identical_stored_forms(kind, n):
+    rng = random.Random(f"stored:{kind}")
+    alg = Algebra(AlgebraVariant(kind, n), sample_env(3, kind, n))
+    a, b, c = (_mixed_element(alg, rng, 10) for _ in range(3))
+    # sums in two orders
+    assert _stored((a + b) + c) == _stored(c + (b + a))
+    assert _stored(a + b - a) == _stored(b)
+    # scaled and unscaled
+    assert _stored(Fraction(3, 7) * (Fraction(7, 3) * a)) == _stored(a)
+    assert _stored(2 * a - a) == _stored(a)
+    assert _stored((Fraction(5, 2) * a) * b) == _stored(
+        Fraction(5, 2) * (a * b))
+    # the linear-system oracle against the assembled Q
+    v = AlgebraVariant(kind, n)
+    env = sample_env(3, kind, n)
+    q = build_projector_Q(gamma_solve(v, n, sector_of(kind, env, n), env))
+    oracle = projector_oracle(v, n, env)
+    assert _stored(oracle) == _stored(q)
+    assert oracle == q
+
+
+def test_terms_is_the_read_only_fraction_dict():
+    rng = random.Random("terms")
+    alg = Algebra(AlgebraVariant("uaTL", 3), sample_env(4, "uaTL", 3))
+    a, b = _mixed_element(alg, rng, 8), _mixed_element(alg, rng, 8)
+    given = {dia: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+             for dia in basis_enumerate(alg.variant)[:6]}
+    assert AlgebraElement(alg, given).terms == given
+    for x in (a, a * b, a + b):
+        want = {dia: Fraction(c, x.den) for dia, c in x.nums.items()}
+        assert x.terms == want
+        assert all(type(c) is Fraction for c in x.terms.values())
+        assert x.terms is x.terms  # built once, then kept
+        with pytest.raises(TypeError):
+            x.terms[identity(3)] = Fraction(1)
+        assert len(x) == len(want)
+        assert x.coefficient(identity(3)) == want.get(identity(3), 0)
+    # the old per-term sum, one Fraction at a time
+    want = dict(a.terms)
+    for dia, c in b.terms.items():
+        want[dia] = want.get(dia, 0) + c
+    assert (a + b).terms == {dia: c for dia, c in want.items() if c}
+
+
+def test_float_elements_are_complex_numerators_over_one():
+    rng = random.Random("float")
+    env = sample_env(1, "uaTL2", 4)
+    alg = Algebra(AlgebraVariant("uaTL2", 4), env)
+    falg = Algebra(alg.variant, env.to_float())
+    fa, fb = (AlgebraElement(falg, {d: complex(c) for d, c in
+                                    _mixed_element(alg, rng, 8).terms.items()})
+              for _ in range(2))
+    for x in (fa, fb, fa + fb, fa - fb, fa * fb, Fraction(1, 3) * fa,
+              falg.e(1) * fb, fa - fa, falg.zero()):
+        assert x.den == 1
+        assert all(type(c) is complex for c in x.nums.values())
+        assert x.terms == x.nums
+    assert (Fraction(1, 3) * fa).equals(complex(Fraction(1, 3)) * fa)
+
+
+# -- the outer-face memo -------------------------------------------------------
+
+def test_outer_face_memo_is_bounded_and_mul_holds_after_a_clear():
+    assert 0 < outer_face.cache_info().maxsize <= 1 << 14
+    rng = random.Random("memo")
+    for kind, n in (("upTL", 5), ("uaTL2", 4), ("uaTL1", 4)):
+        alg = Algebra(AlgebraVariant(kind, n), sample_env(5, kind, n))
+        a, b = _mixed_element(alg, rng, 16), _mixed_element(alg, rng, 16)
+        want = _pairwise_product(a, b)
+        outer_face.cache_clear()
+        assert _stored(a * b) == _stored(want)
+        assert outer_face.cache_info().currsize > 0
+        outer_face.cache_clear()
+        assert _stored(b * a) == _stored(_pairwise_product(b, a))
 
 
 # -- bases and dimensions -----------------------------------------------------
