@@ -364,6 +364,12 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     that one, and a single gcd pass over the output puts it in lowest
     terms: no Fraction is built per output term.  A complex value is its
     own numerator over 1, so the float backend runs the same code.
+
+    A block whose interface leaves a number of through-lines whose sector
+    the quotient kills (``_window`` 0: d = 0 of uaTL2 and upTL2) is skipped
+    right after its trace: it codes no term and adds no key.  So the
+    UTL_MAX_TERMS check on the accumulator counts only keys that can
+    survive reduction.
     """
     a._check(b)
     alg = a.algebra
@@ -395,9 +401,15 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     right_codes, left_codes = {}, {}
     classes = {}  # (lower, d_new, beta_exp) -> {right code: sum}, per top
     shift = nb * nt * width
+    # the sectors the quotient kills (d = 0 of uaTL2 and upTL2): a block
+    # that lands there would only make keys that reduce drops
+    dead = {d for d in range(n % 2, n + 1, 2)
+            if _window(variant.kind, n, d) == 0}
     for top, left in by_top.items():
         for bottom, right in by_bottom.items():
             beta_exp, nc, lower, upper, d_new = trace_interface(top, bottom)
+            if d_new in dead:
+                continue
             key_r = bottom, upper, d_new, nc
             codes_r = right_codes.get(key_r)
             if codes_r is None:

@@ -32,16 +32,20 @@ class LinkState:
 
     Stored as ``cover``: for node i, the cover position of its partner as
     seen from i in the principal copy (None at a defect), so an arc crosses
-    the seam exactly when that position lies outside [0, n).  Equality, hash
-    and order read ``cover``; ``nodes`` gives the same state as descriptors,
+    the seam exactly when that position lies outside [0, n).  Every state
+    is interned, one object per cover, so states compare and hash by
+    identity; order (``sort_key``) and a diagram's stored hash read
+    ``cover``.  ``nodes`` gives the same state as descriptors,
     ``(partner, crosses)`` or DEFECT.  ``LinkState(nodes)`` checks outside
-    input; the package builds its own states through ``_state``.
+    input and returns the interned state, adding nothing to the pool when
+    it rejects; the package builds its own states through ``_state``.
+    Pickle and copy give back the interned state.
     """
 
     __slots__ = ("n", "cover", "defects", "n_crossing", "_hash", "_art",
                  "_json")
 
-    def __init__(self, nodes):
+    def __new__(cls, nodes):
         nodes = list(nodes)
         n = len(nodes)
         cover = [None] * n
@@ -59,35 +63,22 @@ class LinkState:
         for i, x in enumerate(cover):
             if x is not None and cover[x % n] != i + x % n - x:
                 raise ValueError(f"pairing not involutive at node {i}")
-        self._set(tuple(cover))
-        if not self._planar():
+        cover = tuple(cover)
+        if not _planar(cover):
             raise ValueError("link state is not planar on the annulus")
+        return _state(cover)
+
+    def __reduce__(self):
+        return _state, (self.cover,)
 
     def _set(self, cover: tuple):
         self.n = len(cover)
         self.cover = cover
         self.defects = tuple(i for i, x in enumerate(cover) if x is None)
         self.n_crossing = sum(1 for x in cover if x is not None and x < 0)
-        self._hash = hash(cover)
+        self._hash = hash(cover)  # read by the hash of a Diagram
         # built on first use and kept: a basis shares few distinct states
         self._art = self._json = None
-
-    def _planar(self):
-        """Noncrossing in the cover; no defect is overarched."""
-        n = self.n
-        lifts = [(i, x) for i, x in enumerate(self.cover)
-                 if x is not None and x > i]
-        for (a1, b1), (a2, b2) in itertools.combinations(lifts, 2):
-            for k in (-n, 0, n):
-                a, b = a2 + k, b2 + k
-                if (a1 < a < b1) != (a1 < b < b1):
-                    return False
-        for p in self.defects:
-            for a, b in lifts:
-                for k in (-n, 0, n):
-                    if a < p + k < b:
-                        return False
-        return True
 
     @property
     def nodes(self) -> tuple:
@@ -107,12 +98,6 @@ class LinkState:
         n = self.n
         return tuple(-1 if x is None else 2 * (x % n) + (not 0 <= x < n)
                      for x in self.cover)
-
-    def __eq__(self, other):
-        return isinstance(other, LinkState) and self.cover == other.cover
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"LinkState({self.art()!r})"
@@ -148,6 +133,24 @@ class LinkState:
         return LinkState(nodes)
 
 
+def _planar(cover: tuple) -> bool:
+    """Noncrossing in the cover; no defect is overarched."""
+    n = len(cover)
+    lifts = [(i, x) for i, x in enumerate(cover) if x is not None and x > i]
+    for (a1, b1), (a2, b2) in itertools.combinations(lifts, 2):
+        for k in (-n, 0, n):
+            a, b = a2 + k, b2 + k
+            if (a1 < a < b1) != (a1 < b < b1):
+                return False
+    for p, x in enumerate(cover):
+        if x is None:
+            for a, b in lifts:
+                for k in (-n, 0, n):
+                    if a < p + k < b:
+                        return False
+    return True
+
+
 _state_pool: dict = {}
 
 
@@ -156,7 +159,7 @@ def _state(cover: tuple) -> LinkState:
     every state the package builds, planar by construction."""
     st = _state_pool.get(cover)
     if st is None:
-        st = _state_pool[cover] = LinkState.__new__(LinkState)
+        st = _state_pool[cover] = object.__new__(LinkState)
         st._set(cover)
     return st
 
@@ -236,8 +239,9 @@ def link_states(n: int, d: int):
 
 
 class Diagram:
-    """An affine connectivity in sandwich normal form: a value, not interned,
-    whose equality and hash read the faces' covers and the mid."""
+    """An affine connectivity in sandwich normal form: a value, not interned.
+    Equality reads the mid and the faces' identities (states are
+    interned); the hash, stored, reads the faces' covers and the mid."""
 
     __slots__ = ("n", "bottom", "top", "mid", "even", "_hash")
 
@@ -269,9 +273,8 @@ class Diagram:
         return (-self.d, self.bottom.sort_key(), self.top.sort_key(), self.mid)
 
     def __eq__(self, other):
-        return (isinstance(other, Diagram) and self.mid == other.mid
-                and self.bottom.cover == other.bottom.cover
-                and self.top.cover == other.top.cover)
+        return (isinstance(other, Diagram) and self.bottom is other.bottom
+                and self.top is other.top and self.mid == other.mid)
 
     def __hash__(self):
         return self._hash

@@ -243,6 +243,20 @@ def test_max_terms_cap(monkeypatch):
         big * big
 
 
+def test_max_terms_counts_only_the_keys_the_quotient_keeps(monkeypatch):
+    # uaTL2 n = 4, Q * Q: 135 live (beta exponent, unreduced diagram) keys;
+    # the 36 keys of the blocks that land on the killed d = 0 sector are
+    # never made, so a cap of 135 holds
+    kind, n = "uaTL2", 4
+    q = build_projector_Q(gamma_solve(AlgebraVariant(kind, n), n, None,
+                                      sample_env(1, kind, n)))
+    monkeypatch.setenv("UTL_MAX_TERMS", "135")
+    assert (q * q).equals(q)
+    monkeypatch.setenv("UTL_MAX_TERMS", "134")
+    with pytest.raises(ResourceLimitError):
+        q * q
+
+
 def _pairwise_product(a, b):
     """The reference product: c1 * c2 * beta**k * s summed over the pairs
     of terms, with (s, dia) = reduce(multiply_raw(d1, d2))."""
@@ -439,6 +453,56 @@ def test_projector_square_matches_pairwise_reference(kind, n):
     v = AlgebraVariant(kind, n)
     q = build_projector_Q(gamma_solve(v, n, None, sample_env(1, kind, n)))
     assert (q * q).terms == _pairwise_product(q, q).terms == q.terms
+
+
+@pytest.mark.parametrize("kind", ["uaTL2", "upTL2"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_mul_reduces_no_key_of_the_killed_sector(kind, n, monkeypatch):
+    v = AlgebraVariant(kind, n)
+    q = build_projector_Q(gamma_solve(v, n, None, sample_env(1, kind, n)))
+    alg = q.algebra
+    gens = [alg.e(j) for j in range(n)]
+    # every key goes through reduce, none is answered by the memo
+    alg._reduce_memo.clear()
+    seen = []
+
+    def live_only(c, variant, env):
+        assert c.d, f"a d = 0 key reached reduce: {c!r}"
+        seen.append(c)
+        return reduce(c, variant, env)
+    monkeypatch.setattr(algebra, "reduce", live_only)
+    products = [(q, q, q * q)]
+    for g in gens:
+        products += [(g, q, g * q), (q, g, q * g)]
+    monkeypatch.undo()
+    assert seen
+    assert products[0][2].equals(q)
+    for a, b, got in products[1:]:
+        assert got.is_zero()
+        assert _stored(got) == _stored(_pairwise_product(a, b))
+    if n == 4:
+        assert _stored(q * q) == _stored(_pairwise_product(q, q))
+
+
+@pytest.mark.parametrize("kind", ["uaTL2", "upTL2"])
+def test_mul_of_blocks_that_all_die_is_zero(kind, monkeypatch):
+    # at n = 4 every top of a is ||() (arc {2, 3}) and every bottom of b
+    # is ()|| (arc {0, 1}): each block joins every defect, landing on d = 0
+    n = 4
+    alg = Algebra(AlgebraVariant(kind, n), sample_env(2, kind, n))
+    a = alg.e(3) + Fraction(2, 3) * alg.word(1, 2, 3)
+    b = Fraction(-5, 7) * alg.e(1) + alg.word(1, 2, 1, 0)
+    assert len(a) == len(b) == 2
+    assert {trace_interface(x.top, y.bottom)[4]
+            for x in a.nums for y in b.nums} == {0}
+    alg._reduce_memo.clear()
+
+    def unreached(c, variant, env):
+        raise AssertionError(f"reduce called on {c!r}")
+    monkeypatch.setattr(algebra, "reduce", unreached)
+    got = a * b
+    monkeypatch.undo()
+    assert _stored(got) == _stored(_pairwise_product(a, b)) == ({}, 1)
 
 
 def _mixed_element(alg, rng, size):

@@ -263,6 +263,26 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["projector", "--verify", "--algebra", "uatl2", "--n", "6", "--seed", "1"],
+    ["central", "--which", "F", "--n", "6", "--seed", "1"],
+    ["dims", "--enumerate", "--max-n", "10", "--algebra", "uatl1"],
+])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # link states hash by identity, that is by memory address, which the
+    # hash seed moves; stdout must not follow
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "uncoiledtl.cli", *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_closed_stdout_ends_quietly_by_sigpipe():
     # a reader such as `head -c 100` that closes the pipe before utl writes:
     # utl dies of SIGPIPE like cat, not of a BrokenPipeError traceback

@@ -1,13 +1,16 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
-from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, act_on_state,
-                                 all_defect, e, flip, identity, link_states,
-                                 multiply_raw, omega, omega_inv, parity)
+from uncoiledtl.diagrams import (DEFECT, Diagram, LinkState, _state_pool,
+                                 act_on_state, all_defect, e, flip, identity,
+                                 link_states, multiply_raw, omega, omega_inv,
+                                 parity)
 from uncoiledtl.scalars import ALL_KINDS, UNCOILED_KINDS, sample_env
 from uncoiledtl.selfcheck import legal_sizes
 
@@ -69,6 +72,7 @@ def test_parity_convention():
 
 
 def test_planarity_rejected():
+    pooled = len(_state_pool)
     # {0,1} and {2,3} both crossing the seam would intersect
     with pytest.raises(ValueError):
         LinkState([(1, True), (0, True), (3, True), (2, True)])
@@ -78,6 +82,7 @@ def test_planarity_rejected():
     # non-involutive pairing
     with pytest.raises(ValueError):
         LinkState([(1, False), (0, True)])
+    assert len(_state_pool) == pooled  # a rejected state is not interned
 
 
 DIAGRAM_JSON = e(4, 0).to_json()
@@ -105,8 +110,10 @@ DIAGRAM_JSON = e(4, 0).to_json()
     (Diagram.from_json, [DIAGRAM_JSON]),
 ])
 def test_outside_input_is_rejected_with_value_error(build, arg):
+    pooled = len(_state_pool)
     with pytest.raises(ValueError):
         build(arg)
+    assert len(_state_pool) == pooled  # a rejected state is not interned
 
 
 def _assert_descriptor_built(v):
@@ -122,6 +129,33 @@ def test_descriptors_rebuild_every_enumerated_state():
                 _assert_descriptor_built(v)
                 assert LinkState(v.nodes).art() == v.art()
                 assert LinkState.from_json(v.to_json()) == v
+
+
+def test_every_state_is_the_interned_one():
+    for n in range(1, 9):
+        for d in range(n % 2, n + 1, 2):
+            for v in link_states(n, d):
+                assert LinkState(v.nodes) is v
+                assert LinkState.from_json(v.to_json()) is v
+                assert pickle.loads(pickle.dumps(v)) is v
+                assert copy.copy(v) is v and copy.deepcopy(v) is v
+
+
+def test_diagrams_built_apart_are_one_key():
+    n = 4
+    alg = Algebra(AlgebraVariant("uaTL1", n), sample_env(0, "uaTL1", n))
+    x = alg.e(1) + 3 * alg.e(0) * alg.e(2) + alg.omega()
+    for dia in x.nums:
+        built = [Diagram(LinkState(dia.bottom.nodes), LinkState(dia.top.nodes),
+                         dia.mid),
+                 Diagram.from_json(dia.to_json()),
+                 pickle.loads(pickle.dumps(dia)), copy.deepcopy(dia)]
+        for other in built:
+            assert other is not dia
+            assert other == dia and hash(other) == hash(dia)
+            assert x.nums[other] == x.nums[dia]
+            assert other in x.nums and dia in {other: 1}
+    assert Diagram(e(n, 1).bottom, e(n, 1).top, 1) != e(n, 1)
 
 
 def _descriptor_sort_key(v):
