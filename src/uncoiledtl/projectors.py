@@ -41,7 +41,7 @@ from operator import itemgetter, mul
 
 from . import diagrams, linalg
 from .algebra import (Algebra, AlgebraElement, AlgebraVariant, _reduce_mid,
-                      basis_enumerate, is_idempotent, reduce)
+                      basis_enumerate, reduce)
 from .diagrams import Diagram, cup_state, identity as id_diagram
 from .scalars import (AFFINE_KINDS, EXACT, NonGenericParameterError,
                       ParamEnv, QInts, STARRED_KINDS, UNCOILED_KINDS,
@@ -786,13 +786,12 @@ def _annihilator_rows(alg: Algebra, basis) -> list:
     """The rows of {e_j X = X e_j = 0 for all j} (plus Omega X = omega X =
     X Omega for the affine kinds) over the coordinates of X in ``basis``.
 
-    Column i of a constraint holds its image of basis[i]: one product of two
-    diagrams, reduced, so the oracle never runs through ``mul``, the product
-    that builds Q and checks Q*Q.  The entries are the scalars' own values
-    (Fractions in the exact backend); the padding is int 0, which
-    ``linalg.echelon`` skips without a Python-level truth test."""
-    variant, env = alg.variant, alg.env
-    n, dim = alg.n, len(basis)
+    Each row is a {column: value} dict of its nonzeros, the row format of
+    ``linalg``: column i of a constraint holds its image of basis[i], one
+    product of two diagrams, reduced, so the oracle never runs through
+    ``mul``, the product that builds Q and checks Q*Q.  The values are the
+    scalars' own (Fractions in the exact backend)."""
+    variant, env, n = alg.variant, alg.env, alg.n
     ops = [(diagrams.e(n, j), 0) for j, _ in _generators(alg)]
     if variant.kind in AFFINE_KINDS:
         ops.append((diagrams.omega(n), env.omega))
@@ -810,7 +809,7 @@ def _annihilator_rows(alg: Algebra, basis) -> list:
                     image[dia] = image.get(dia, 0) - w
                 for dd, c in image.items():
                     if c:
-                        cols.setdefault(dd, [0] * dim)[i] = c
+                        cols.setdefault(dd, {})[i] = c
             rows.extend(cols.values())
     return rows
 
@@ -826,18 +825,17 @@ def projector_oracle(variant: AlgebraVariant, n: int,
     """
     alg = Algebra(variant, env)
     basis = basis_enumerate(variant)
-    dim = len(basis)
-    null = linalg.nullspace(_annihilator_rows(alg, basis), dim)
+    null = linalg.nullspace(_annihilator_rows(alg, basis), len(basis))
     if len(null) != 1:
         raise linalg.SingularSystemError(
             f"annihilator has dimension {len(null)}, expected 1")
     vec = null[0]
-    lead = vec[basis.index(id_diagram(n))]
+    lead = vec.get(basis.index(id_diagram(n)))
     if not lead:
         raise linalg.SingularSystemError("solution misses the identity block")
     want = (Fraction(1, n) if variant.kind in AFFINE_KINDS else Fraction(1))
     scale = want / lead
-    terms = {basis[i]: vec[i] * scale for i in range(dim) if vec[i]}
+    terms = {basis[i]: x * scale for i, x in vec.items()}
     return AlgebraElement(alg, terms)
 
 
@@ -866,6 +864,17 @@ def _first_nonzero(named_elements):
                  if not x.is_zero()), None)
 
 
+def _first_difference(name, a, b):
+    """'<name> at <diagram>' for the first diagram, in ``Diagram.sort_key``
+    order, whose coefficients in a and b differ, None if a equals b."""
+    if a.equals(b):
+        return None
+    eq, ta, tb = a.algebra.env.eq, a.terms, b.terms
+    dia = min((d for d in ta.keys() | tb.keys()
+               if not eq(ta.get(d, 0), tb.get(d, 0))), key=Diagram.sort_key)
+    return f"{name} at {dia!r}"
+
+
 def projector_checks(q: AlgebraElement, with_oracle: bool) -> dict:
     """The checks of a projector Q, each mapped to None when it holds and
     otherwise to its first witness: Q^2 = Q, e_j Q = Q e_j = 0 for every j,
@@ -874,7 +883,7 @@ def projector_checks(q: AlgebraElement, with_oracle: bool) -> dict:
     solution fails this check with its message rather than raising)."""
     alg = q.algebra
     variant, n, env = alg.variant, alg.n, alg.env
-    checks = {"idempotent": None if is_idempotent(q) else "Q^2 != Q"}
+    checks = {"idempotent": _first_difference("Q^2 != Q", q * q, q)}
     checks["annihilated"] = _first_nonzero(
         pair for j, g in _generators(alg)
         for pair in ((f"e_{j} Q", g * q), (f"Q e_{j}", q * g)))
@@ -890,8 +899,8 @@ def projector_checks(q: AlgebraElement, with_oracle: bool) -> dict:
             # valid input whose check failed: exit 1, not invalid input
             checks["matches_oracle"] = f"oracle: {exc}"
         else:
-            checks["matches_oracle"] = (None if oracle.equals(q)
-                                        else "Q != oracle")
+            checks["matches_oracle"] = _first_difference("Q != oracle", q,
+                                                         oracle)
     return checks
 
 

@@ -23,7 +23,7 @@ def singular_oracle(monkeypatch):
             rows = real(alg, basis)
             if (alg.variant.kind, alg.n) == (kind, n):
                 i = basis.index(identity(n))
-                row = next(r for r in rows if r[i])
+                row = next(r for r in rows if r.get(i))
                 row[i] *= 2
             return rows
         monkeypatch.setattr(projectors, "_annihilator_rows", doubled)

@@ -8,9 +8,14 @@ from uncoiledtl.linalg import echelon, nullspace
 NONZERO = hst.fractions(-4, 4, max_denominator=4).filter(bool)
 
 
+def as_rows(matrix):
+    """The {column: value} rows of a dense matrix: each row's nonzeros."""
+    return [{c: x for c, x in enumerate(row) if x} for row in matrix]
+
+
 def rank(rows):
-    """The number of pivots echelon finds, on a copy of rows."""
-    return len(echelon([list(r) for r in rows]))
+    """The number of pivots echelon finds in {column: value} rows."""
+    return len(echelon(rows))
 
 
 def dense_rref(rows):
@@ -59,24 +64,25 @@ def sparse_matrices(draw):
 def test_echelon_matches_dense_reference(case):
     rows, _ = case
     want_pivots, want_rows = dense_rref(rows)
-    work = [list(r) for r in rows]
-    pivots = echelon(work)
-    assert pivots == want_pivots
-    assert work[:len(pivots)] == want_rows
-    assert not any(x for row in work[len(pivots):] for x in row)
-    assert rank(rows) == len(pivots)
+    given = as_rows(rows)
+    reduced = echelon(given)
+    assert [pc for pc, _ in reduced] == want_pivots
+    assert [row for _, row in reduced] == as_rows(want_rows)
+    # the rows are read, not reduced in place
+    assert given == as_rows(rows)
+    assert rank(given) == len(reduced)
 
 
 @given(sparse_matrices())
 @settings(max_examples=300, deadline=None)
 def test_nullspace_is_the_kernel(case):
     rows, ncols = case
-    basis = nullspace(rows, ncols)
+    basis = nullspace(as_rows(rows), ncols)
     for v in basis:
-        assert len(v) == ncols
-        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert all(0 <= c < ncols and x for c, x in v.items())
+        assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in rows)
     assert rank(basis) == len(basis)
-    assert rank(rows) + len(basis) == ncols
+    assert rank(as_rows(rows)) + len(basis) == ncols
 
 
 BIG_INT = hst.integers(-10 ** 12, 10 ** 12)
@@ -86,9 +92,9 @@ BIG_FRACTION = hst.builds(Fraction, BIG_INT, hst.integers(1, 10 ** 6))
 @hst.composite
 def integer_path_matrices(draw):
     """The forms the fraction-free elimination reads: numerators up to
-    10^12 over mixed denominators up to 10^6, rows of plain ints, int 0
-    padding beside Fraction entries (and Fraction(0) padding), and integer
-    multiples of earlier rows."""
+    10^12 over mixed denominators up to 10^6, rows of plain ints beside
+    rows of Fractions, and integer multiples of earlier rows.  The int 0 or
+    Fraction(0) padding reaches only the dense reference."""
     ncols = draw(hst.integers(1, 7))
     rows = []
     for _ in range(draw(hst.integers(0, 6))):
@@ -112,32 +118,38 @@ def test_integer_path_matches_dense_reference(case):
     # the reference divides, so it gets the same values as Fractions
     want_pivots, want_rows = dense_rref(
         [[Fraction(x) for x in row] for row in rows])
-    work = [list(r) for r in rows]
-    pivots = echelon(work)
-    assert pivots == want_pivots
-    assert work[:len(pivots)] == want_rows
-    assert not any(x for row in work[len(pivots):] for x in row)
-    # the reduced rows are written back as Fractions, whatever was read
-    assert all(type(x) is Fraction for row in work for x in row)
+    given = as_rows(rows)
+    reduced = echelon(given)
+    assert [pc for pc, _ in reduced] == want_pivots
+    assert [row for _, row in reduced] == as_rows(want_rows)
+    assert given == as_rows(rows)
+    # the reduced rows are returned as Fractions, whatever was read
+    assert all(type(x) is Fraction for _, row in reduced for x in row.values())
 
 
 @given(integer_path_matrices())
 @settings(max_examples=300, deadline=None)
 def test_integer_path_nullspace_is_the_kernel(case):
     rows, ncols = case
-    basis = nullspace(rows, ncols)
+    basis = nullspace(as_rows(rows), ncols)
     for v in basis:
-        assert len(v) == ncols
-        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert all(0 <= c < ncols and x for c, x in v.items())
+        assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in rows)
     assert rank(basis) == len(basis)
-    assert rank(rows) + len(basis) == ncols
+    assert rank(as_rows(rows)) + len(basis) == ncols
 
 
 @pytest.mark.parametrize("rows", [
-    [[Fraction(1, 3), 0.5], [1, 2]],
-    [[1, 2], [0, 0.25]],
-    [[1.0, 0], [0, 1]],
+    [{0: Fraction(1, 3), 1: 0.5}, {0: 1, 1: 2}],
+    [{0: 1, 1: 2}, {1: 0.25}],
+    [{0: 1.0}, {1: 1}],
 ], ids=["beside-a-fraction", "alone-in-a-later-row", "integral-float"])
 def test_a_float_entry_raises_type_error_and_is_not_rounded(rows):
     with pytest.raises(TypeError, match="float"):
-        echelon([list(r) for r in rows])
+        echelon(rows)
+
+
+def test_echelon_cost_follows_the_nonzeros_not_the_columns():
+    # a dense row of 10^9 columns would not fit in memory
+    assert echelon([{3: 2, 10 ** 9: 4}]) == \
+        [(3, {3: Fraction(1), 10 ** 9: Fraction(2)})]

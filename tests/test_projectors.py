@@ -1193,7 +1193,6 @@ def _annihilator_rows_by_mul(alg, basis):
     """The constraint rows as built through element products: each basis
     diagram as a one-term element, multiplied by each generator with mul."""
     env = alg.env
-    zero, dim = env.zero, len(basis)
     ops = []
     for j in range(alg.n if alg.n >= 2 else 0):
         g = alg.e(j)
@@ -1208,7 +1207,7 @@ def _annihilator_rows_by_mul(alg, basis):
         cols = {}
         for j, dia in enumerate(basis):
             for dd, c in op(alg.from_diagram(dia)).terms.items():
-                cols.setdefault(dd, [zero] * dim)[j] = c
+                cols.setdefault(dd, {})[j] = c
         rows.extend(cols.values())
     return rows
 
@@ -1230,12 +1229,12 @@ def test_annihilator_rows_match_element_products(kind, n, monkeypatch):
     monkeypatch.setattr(uncoiledtl.algebra, "mul", no_mul)
     got = _annihilator_rows(alg, basis)
 
-    def sparse(rows):
-        return {frozenset((c, x) for c, x in enumerate(row) if x)
-                for row in rows}
+    def as_set(rows):
+        return {frozenset(row.items()) for row in rows}
 
+    assert all(type(row) is dict and all(row.values()) for row in got)
     assert len(got) == len(want)
-    assert sparse(got) == sparse(want)
+    assert as_set(got) == as_set(want)
 
 
 @pytest.mark.parametrize("kind,n", [

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from uncoiledtl import selfcheck
-from uncoiledtl.algebra import Algebra, AlgebraVariant
-from uncoiledtl.projectors import projector_checks
+from uncoiledtl.algebra import Algebra, AlgebraVariant, basis_enumerate
+from uncoiledtl.diagrams import Diagram
+from uncoiledtl.projectors import (build_projector_Q, gamma_solve,
+                                   projector_checks, sector_of)
 from uncoiledtl.scalars import sample_env
 
 
@@ -55,7 +57,7 @@ CASES = {
         selfcheck.check_projectors, (3, 2, 3, 0), "build_projector_Q",
         _plus(lambda tbl: (tbl.variant.kind == "upTL1")
               * Fraction(1, 3) * Algebra(tbl.variant, tbl.env).e(0)),
-        "Q^2 != Q, upTL1 n=2"),
+        "Q^2 != Q at Diagram('<>', mid=0, '<>'), upTL1 n=2"),
     "e0Z-expansion": (
         selfcheck.check_e0Z_grids, (4, 0), "check_e0Z",
         _plus(lambda alg, k, l2:
@@ -92,6 +94,21 @@ def test_projector_witness_names_the_generator_and_its_side():
     # e_0 (1 - e_1 e_0) = e_0 - e_0 e_1 e_0 = 0, but (1 - e_1 e_0) e_0 != 0
     assert projector_checks(alg.one() - alg.e(1) * alg.e(0), False) == \
         {"idempotent": None, "annihilated": "Q e_0 != 0"}
+
+
+@pytest.mark.parametrize("kind,n", [("upTL", 3), ("uaTL1", 4)])
+def test_oracle_witness_names_the_one_changed_diagram(kind, n):
+    env = sample_env(0, kind, n)
+    v = AlgebraVariant(kind, n)
+    alg = Algebra(v, env)
+    q = build_projector_Q(gamma_solve(v, n, sector_of(kind, env, n), env))
+    assert projector_checks(q, True)["matches_oracle"] is None
+    basis = sorted(basis_enumerate(v), key=Diagram.sort_key)
+    # the first, a middle and the last diagram, in or out of Q's support
+    for dia in (basis[0], basis[len(basis) // 2], basis[-1]):
+        changed = q + Fraction(1, 5) * alg.from_diagram(dia)
+        assert projector_checks(changed, True)["matches_oracle"] == \
+            f"Q != oracle at {dia!r}"
 
 
 @pytest.mark.parametrize("kind,n", [("upTL", 3), ("uaTL1", 4), ("upTL2", 4)])
